@@ -40,6 +40,7 @@ from .endomorphisms import (
 )
 from .errors import (
     AlphabetMismatchError,
+    ConfigError,
     CuntzError,
     EndomorphismValidationError,
     IndexRangeError,

@@ -12,6 +12,11 @@ The second relation makes words of different lengths linearly dependent;
 common length per grade, which yields a canonical representative and a
 decision procedure for equality.
 
+The product of two words is nonzero only when one middle word is a prefix
+of the other, so ``Element.__mul__`` indexes both operands by their middle
+words and joins them on the shared prefix: its cost follows the number of
+surviving term pairs, not the product of the operand sizes.
+
 Orientation convention: a :class:`Monomial` stores the creation word
 ``(a1..am)`` and the annihilation word ``(b1..bn)``, where the operator
 meaning of the annihilation word is ``(s_{b1}..s_{bn})* = s_{bn}*..s_{b1}*``.
@@ -221,34 +226,84 @@ class Element:
         return Element._make(self.d, {m: c * k for m, c in self._terms.items()})
 
     def __mul__(self, other) -> "Element":
+        """Product in O_d; a scalar operand scales.
+
+        A pair of terms x = xc xa^adj, y = yc ya^adj survives exactly when
+        one of the middle words xa, yc is a prefix of the other.  Terms of
+        ``self`` are grouped by xa and terms of ``other`` by yc; each group
+        is probed once per word length occurring on the other side with the
+        prefix of that length (a hash join on the common prefix of length
+        min(|xa|, |yc|)).  The cost is linear in the operands times the
+        number of distinct word lengths, plus the pairs that survive.  When
+        one operand is a single word the other is scanned directly.
+        """
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_d(other)
+        xt, yt = self._terms, other._terms
         out: dict[Monomial, Fraction] = {}
         get = out.get
-        for (xc, xa), ca in self._terms.items():
-            la = len(xa)
-            for (yc, ya), cb in other._terms.items():
+        if len(xt) == 1 or len(yt) == 1:
+            # One operand is a single word: scanning the other side is
+            # already linear, and cheaper than building an index.
+            for (xc, xa), ca in xt.items():
+                la = len(xa)
+                for (yc, ya), cb in yt.items():
+                    lc = len(yc)
+                    if la <= lc:
+                        if xa != yc[:la]:
+                            continue
+                        key = Monomial(xc + yc[la:], ya)
+                    else:
+                        if yc != xa[:lc]:
+                            continue
+                        key = Monomial(xc, ya + xa[lc:])
+                    acc = get(key)
+                    out[key] = ca * cb if acc is None else acc + ca * cb
+        elif xt and yt:
+            left: dict[tuple, list] = {}
+            for (xc, xa), ca in xt.items():
+                left.setdefault(xa, []).append((xc, ca))
+            right: dict[tuple, list] = {}
+            for (yc, ya), cb in yt.items():
+                right.setdefault(yc, []).append((ya, cb))
+            left_lengths = sorted({len(xa) for xa in left})
+            right_lengths = sorted({len(yc) for yc in right})
+            # |xa| <= |yc|: xa == yc[:la], the rest of yc moves to the left.
+            for yc, ys in right.items():
                 lc = len(yc)
-                if la <= lc:
-                    if xa != yc[:la]:
+                for la in left_lengths:
+                    if la > lc:
+                        break
+                    xs = left.get(yc[:la])
+                    if xs is None:
                         continue
-                    key = Monomial(xc + yc[la:], ya)
-                else:
-                    if yc != xa[:lc]:
+                    tail = yc[la:]
+                    for xc, ca in xs:
+                        create = xc + tail
+                        for ya, cb in ys:
+                            key = Monomial(create, ya)
+                            acc = get(key)
+                            out[key] = ca * cb if acc is None else acc + ca * cb
+            # |xa| > |yc|: yc == xa[:lc], the rest of xa moves to the right.
+            for xa, xs in left.items():
+                la = len(xa)
+                for lc in right_lengths:
+                    if lc >= la:
+                        break
+                    ys = right.get(xa[:lc])
+                    if ys is None:
                         continue
-                    key = Monomial(xc, ya + xa[lc:])
-                c = ca * cb
-                acc = get(key)
-                if acc is not None:
-                    c = acc + c
-                if c:
-                    out[key] = c
-                elif key in out:
-                    del out[key]
-        return Element._make(self.d, out)
+                    tail = xa[lc:]
+                    for ya, cb in ys:
+                        annihilate = ya + tail
+                        for xc, ca in xs:
+                            key = Monomial(xc, annihilate)
+                            acc = get(key)
+                            out[key] = ca * cb if acc is None else acc + ca * cb
+        return Element._make(self.d, {m: c for m, c in out.items() if c})
 
     def __rmul__(self, other) -> "Element":
         if isinstance(other, (int, Fraction)):

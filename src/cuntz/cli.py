@@ -15,6 +15,7 @@ from . import config
 from .algebra import Element
 from .errors import (
     AlphabetMismatchError,
+    ConfigError,
     CuntzError,
     IndexRangeError,
     ParseError,
@@ -59,6 +60,16 @@ RPFS_SUITES = ("seed", "recursive", "normalization", "cross", "green", "trilinea
 ALL_SUITES = sorted(set(RFS_SUITES) | set(RPFS_SUITES) | {"klein"})
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuntz",
@@ -71,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="built-in name (std-o2, std-rfs-p:<p>, std-rpfs:<p>) "
                             "or a JSON system file")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-terms", type=int, default=None,
+        p.add_argument("--max-terms", type=_positive_int, default=None,
                        help="abort when a grown element exceeds this term count "
                             f"(default from ${config.MAX_TERMS_ENV})")
 
@@ -298,6 +309,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        config.max_terms_cap()  # reject a malformed $CUNTZ_MAX_TERMS up front
         return _HANDLERS[args.command](args)
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
@@ -305,7 +317,8 @@ def main(argv=None) -> int:
     except SystemValidationError as exc:
         print(f"invalid system: {exc}", file=sys.stderr)
         return 1
-    except (SchemaError, ParseError, IndexRangeError, AlphabetMismatchError) as exc:
+    except (SchemaError, ParseError, IndexRangeError, AlphabetMismatchError,
+            ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CuntzError as exc:

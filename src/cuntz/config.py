@@ -2,6 +2,8 @@
 
 import os
 
+from .errors import ConfigError
+
 # Environment variable overriding the default term cap for grown elements.
 MAX_TERMS_ENV = "CUNTZ_MAX_TERMS"
 
@@ -21,14 +23,20 @@ DEFAULT_SPAN_BASIS_CAP = 65_536
 DEFAULT_RNG_SEED = 271828
 
 
-def max_terms_cap():
-    """Current term cap: environment override if set, else the default."""
+def max_terms_cap(override=None):
+    """Current term cap: ``override`` if given, else the environment
+    variable if set, else the default."""
+    if override is not None:
+        return override
     raw = os.environ.get(MAX_TERMS_ENV)
     if raw is None:
         return DEFAULT_MAX_TERMS
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
     if value <= 0:
-        raise ValueError(f"{MAX_TERMS_ENV} must be positive, got {raw}")
+        raise ConfigError(f"{MAX_TERMS_ENV} must be a positive integer, got {raw!r}")
     return value
 
 

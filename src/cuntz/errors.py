@@ -21,6 +21,10 @@ class SchemaError(CuntzError, ValueError):
     """Malformed JSON for an element, vector, system or endomorphism."""
 
 
+class ConfigError(CuntzError, ValueError):
+    """Malformed setting, such as a term cap that is not a positive integer."""
+
+
 class EndomorphismValidationError(CuntzError):
     """Candidate generator images violate the defining relations."""
 

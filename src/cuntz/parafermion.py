@@ -93,7 +93,7 @@ class GreenSystem:
                 cached = self.seeds[alpha - 1]
             else:
                 cached = self.zetas[alpha - 1].apply(self.green_component(alpha, n - 1))
-                cap = self.max_terms or config.max_terms_cap()
+                cap = config.max_terms_cap(self.max_terms)
                 if len(cached) > cap:
                     raise ResourceLimitError(len(cached), cap)
             self._pow[key] = cached

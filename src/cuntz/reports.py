@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 PASS = "pass"
 FAIL = "fail"
@@ -82,19 +82,6 @@ class Report:
 
     def __len__(self):
         return len(self.results)
-
-
-def parallel_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
-    """Map preserving order; fans out over threads when jobs > 1.
-
-    Work items must be independent and pure, so the merge is deterministic
-    regardless of the degree of parallelism.
-    """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def sweep_first_failure(predicate: Callable, items: Iterable, jobs: int = 1,

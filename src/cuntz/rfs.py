@@ -215,7 +215,7 @@ class GeneratorFamily:
         cached = self._cache.get(n)
         if cached is None:
             cached = self._fn(n)
-            cap = self.max_terms or config.max_terms_cap()
+            cap = config.max_terms_cap(self.max_terms)
             if len(cached) > cap:
                 raise ResourceLimitError(len(cached), cap)
             self._cache[n] = cached
@@ -267,7 +267,7 @@ class RfsSystem:
                 cached = self.seeds[seed_index]
             else:
                 cached = self.zeta.apply(self.zeta_power(seed_index, power - 1))
-                cap = self.max_terms or config.max_terms_cap()
+                cap = config.max_terms_cap(self.max_terms)
                 if len(cached) > cap:
                     raise ResourceLimitError(len(cached), cap)
             self._pow[key] = cached

@@ -215,3 +215,27 @@ class TestRoundTrip:
         el = element_from_dict(json.loads(out))
         reference = standard_rfs_p(2).generator(4).normal_form()
         assert el == reference
+
+
+class TestTermCapInput:
+    @pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+    def test_bad_env_exits_2(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("CUNTZ_MAX_TERMS", raw)
+        code, out, err = run(capsys, "embed", "--system", "std-o2", "--n", "1")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "CUNTZ_MAX_TERMS" in err
+
+    def test_env_cap_applies(self, capsys, monkeypatch):
+        monkeypatch.setenv("CUNTZ_MAX_TERMS", "16")
+        code, _, err = run(capsys, "embed", "--system", "std-o2", "--n", "9")
+        assert code == 3
+        assert "cap 16" in err
+
+    @pytest.mark.parametrize("raw", ["0", "-5", "abc"])
+    def test_non_positive_flag_exits_2(self, capsys, raw):
+        code, out, err = run(capsys, "embed", "--system", "std-o2", "--n", "1",
+                             "--max-terms", raw)
+        assert code == 2
+        assert out == ""
+        assert "--max-terms" in err and "positive" in err

@@ -6,7 +6,6 @@ from cuntz.reports import (
     INCONCLUSIVE,
     CheckResult,
     Report,
-    parallel_map,
     sweep_first_failure,
 )
 
@@ -45,12 +44,6 @@ def test_extend_merges_in_order():
     second.add("b", {}, True)
     first.extend(second)
     assert [r.check for r in first] == ["a", "b"]
-
-
-def test_parallel_map_preserves_order():
-    items = list(range(40))
-    assert parallel_map(lambda x: x * x, items, jobs=1) == \
-        parallel_map(lambda x: x * x, items, jobs=4)
 
 
 def test_sweep_first_failure_matches_sequential():

@@ -340,6 +340,14 @@ class TestResourceCaps:
         with pytest.raises(ResourceLimitError):
             family.generator(3)
 
+    def test_zero_cap_is_not_the_default(self):
+        # max_terms=0 is a cap of zero terms, not "unset".
+        system = standard_rfs_o2()
+        system.max_terms = 0
+        with pytest.raises(ResourceLimitError) as err:
+            system.generator(2)
+        assert err.value.cap == 0
+
 
 class TestValidateSystem:
     def test_report_shape(self, rfs2):
