@@ -33,7 +33,8 @@ import re
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
-from .errors import AlphabetMismatchError, IndexRangeError, ParseError
+from . import config
+from .errors import AlphabetMismatchError, IndexRangeError, ParseError, ResourceLimitError
 
 Scalar = Union[int, Fraction]
 
@@ -326,30 +327,44 @@ class Element:
         raising, like words merge and zero coefficients are pruned.  The
         result is idempotent, and x.equals(y) iff (x - y).normal_form()
         is zero.
+
+        A word raised by ``gap`` letters becomes d^gap words.  When raising
+        would form more words than the term cap allows, ResourceLimitError
+        is raised before any word is formed.
         """
+        d = self.d
         by_excess: dict[int, list[tuple[Monomial, Fraction]]] = {}
         for m, c in self._terms.items():
             by_excess.setdefault(m.excess, []).append((m, c))
-        out: dict[Monomial, Fraction] = {}
-        alphabet = range(1, self.d + 1)
+        pending: list[tuple[Monomial, Fraction, int]] = []
+        words = 0
         for grade_terms in by_excess.values():
             target = max(len(m.create) for m, _ in grade_terms)
             for m, c in grade_terms:
                 gap = target - len(m.create)
-                if gap == 0:
-                    keys = (m,)
-                else:
-                    keys = (
-                        Monomial(m.create + w, m.annihilate + w)
-                        for w in itertools.product(alphabet, repeat=gap)
-                    )
-                for key in keys:
-                    acc = out.get(key)
-                    cc = c if acc is None else acc + c
-                    if cc:
-                        out[key] = cc
-                    elif key in out:
-                        del out[key]
+                pending.append((m, c, gap))
+                words += d ** gap
+        if words > len(pending):
+            cap = config.max_terms_cap()
+            if words > cap:
+                raise ResourceLimitError(words, cap, operation="normal_form")
+        out: dict[Monomial, Fraction] = {}
+        alphabet = range(1, d + 1)
+        for m, c, gap in pending:
+            if gap == 0:
+                keys = (m,)
+            else:
+                keys = (
+                    Monomial(m.create + w, m.annihilate + w)
+                    for w in itertools.product(alphabet, repeat=gap)
+                )
+            for key in keys:
+                acc = out.get(key)
+                cc = c if acc is None else acc + c
+                if cc:
+                    out[key] = cc
+                elif key in out:
+                    del out[key]
         return Element._make(self.d, out)
 
     def equals(self, other: "Element") -> bool:
@@ -357,10 +372,17 @@ class Element:
         if not isinstance(other, Element):
             raise TypeError(f"cannot compare Element with {type(other).__name__}")
         self._require_same_d(other)
-        diff = self - other
-        if diff.is_zero:
+        diff = dict(self._terms)
+        for m, c in other._terms.items():
+            acc = diff.get(m)
+            c = -c if acc is None else acc - c
+            if c:
+                diff[m] = c
+            elif m in diff:
+                del diff[m]
+        if not diff:
             return True
-        return diff.normal_form().is_zero
+        return Element._make(self.d, diff).normal_form().is_zero
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):

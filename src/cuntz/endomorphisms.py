@@ -3,11 +3,16 @@
 An endomorphism is pinned down by the images g_i of the d generators; it
 is well defined exactly when the images satisfy the same relations as the
 generators themselves, which is a finite, exactly decidable check.
+
+The canonical endomorphism rho(X) = sum_i s_i X s_i* is kept in its
+sandwich form instead: applying it prepends the letter i to both words of
+every term, and its generator images are derived only when read.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from fractions import Fraction
+from typing import Optional, Sequence
 
 from .algebra import Element, Monomial, identity, isometry
 from .errors import AlphabetMismatchError, EndomorphismValidationError, IndexRangeError
@@ -18,10 +23,12 @@ class Endomorphism:
 
     ``apply`` extends the images multiplicatively and *-compatibly to any
     element; word images are cached per instance since recursive systems
-    apply the same endomorphism over and over.
+    apply the same endomorphism over and over.  The instance built by
+    :func:`rho` is applied by re-indexing words and holds no images until
+    ``images`` is read.
     """
 
-    __slots__ = ("d", "images", "_word_cache")
+    __slots__ = ("d", "_images", "_word_cache", "_canonical")
 
     def __init__(self, images: Sequence[Element]):
         images = tuple(images)
@@ -32,12 +39,36 @@ class Endomorphism:
             raise IndexRangeError(f"expected {d} images, got {len(images)}")
         if any(img.d != d for img in images):
             raise AlphabetMismatchError("images carry mixed alphabet sizes")
+        self._init(d, images, canonical=False)
+
+    @classmethod
+    def _sandwich_form(cls, d: int) -> "Endomorphism":
+        """The canonical endomorphism of O_d, without generator images."""
+        self = object.__new__(cls)
+        self._init(d, None, canonical=True)
+        return self
+
+    def _init(self, d: int, images: Optional[tuple], canonical: bool):
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_images", images)
         object.__setattr__(self, "_word_cache", {(): identity(d)})
+        object.__setattr__(self, "_canonical", canonical)
 
     def __setattr__(self, name, value):
         raise AttributeError("Endomorphism is immutable")
+
+    @property
+    def images(self) -> tuple[Element, ...]:
+        """The generator images g_i; derived on first read for rho."""
+        if self._images is None:
+            object.__setattr__(self, "_images", tuple(
+                canonical_endomorphism(isometry(self.d, i)) for i in range(1, self.d + 1)))
+        return self._images
+
+    @property
+    def is_canonical(self) -> bool:
+        """True for the sandwich form built by :func:`rho`."""
+        return self._canonical
 
     def image_of_word(self, word: tuple[int, ...]) -> Element:
         cached = self._word_cache.get(word)
@@ -49,11 +80,16 @@ class Endomorphism:
     def apply(self, x: Element) -> Element:
         if x.d != self.d:
             raise AlphabetMismatchError(f"d mismatch: {x.d} vs {self.d}")
-        out = Element.zero(self.d)
-        for m, c in x.terms.items():
-            img = self.image_of_word(m.create) * self.image_of_word(m.annihilate).adjoint()
-            out = out + img.scale(c)
-        return out
+        if self._canonical:
+            return Element._make(self.d, _sandwich_terms(x, keep_unit=True))
+        out: dict[Monomial, Fraction] = {}
+        get = out.get
+        for (create, annihilate), c in x.terms.items():
+            img = self.image_of_word(create) * self.image_of_word(annihilate).adjoint()
+            for m, k in img.terms.items():
+                acc = get(m)
+                out[m] = k * c if acc is None else acc + k * c
+        return Element._make(self.d, {m: c for m, c in out.items() if c})
 
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
@@ -92,13 +128,27 @@ def apply_endomorphism(e: Endomorphism, x: Element) -> Element:
     return e.apply(x)
 
 
+def _sandwich_terms(x: Element, keep_unit: bool) -> dict[Monomial, Fraction]:
+    """Terms of sum_i s_i X s_i*: each word gains the letter i on both sides.
+
+    Distinct words stay distinct, so nothing merges and no coefficient
+    vanishes.  With ``keep_unit`` the identity word maps to itself
+    (sum_i s_i s_i* = I), as a unital endomorphism's image of I.
+    """
+    alphabet = range(1, x.d + 1)
+    out: dict[Monomial, Fraction] = {}
+    for (create, annihilate), c in x.terms.items():
+        if keep_unit and not create and not annihilate:
+            out[Monomial(create, annihilate)] = c
+            continue
+        for i in alphabet:
+            out[Monomial((i,) + create, (i,) + annihilate)] = c
+    return out
+
+
 def canonical_endomorphism(x: Element) -> Element:
     """X -> sum_i s_i X s_i*, computed by direct sandwiching."""
-    out = {}
-    for m, c in x.terms.items():
-        for i in range(1, x.d + 1):
-            out[Monomial((i,) + m.create, (i,) + m.annihilate)] = c
-    return Element(x.d, out)
+    return Element._make(x.d, _sandwich_terms(x, keep_unit=False))
 
 
 def identity_endomorphism(d: int) -> Endomorphism:
@@ -106,8 +156,8 @@ def identity_endomorphism(d: int) -> Endomorphism:
 
 
 def rho(d: int) -> Endomorphism:
-    """The canonical endomorphism, as a generator-image description."""
-    return Endomorphism([canonical_endomorphism(isometry(d, i)) for i in range(1, d + 1)])
+    """The canonical endomorphism X -> sum_i s_i X s_i*, in sandwich form."""
+    return Endomorphism._sandwich_form(d)
 
 
 def phi1() -> Endomorphism:
@@ -126,6 +176,8 @@ def phi2() -> Endomorphism:
 
 def is_rho(e: Endomorphism) -> bool:
     """Exact test whether the images coincide with the canonical endomorphism's."""
+    if e.is_canonical:
+        return True
     return all(
         e.images[i - 1].equals(canonical_endomorphism(isometry(e.d, i)))
         for i in range(1, e.d + 1)

@@ -44,8 +44,10 @@ class SystemValidationError(CuntzError):
 class ResourceLimitError(CuntzError):
     """An element or coordinate basis outgrew the configured cap."""
 
-    def __init__(self, count, cap, what="terms"):
+    def __init__(self, count, cap, what="terms", operation=None):
         self.count = count
         self.cap = cap
         self.what = what
-        super().__init__(f"{what} count {count} exceeds cap {cap}")
+        self.operation = operation
+        where = f" in {operation}" if operation else ""
+        super().__init__(f"{what} count {count} exceeds cap {cap}{where}")

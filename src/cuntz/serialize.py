@@ -116,7 +116,7 @@ def zeta_from_list(raw, d: int) -> RecursiveMap:
 
 
 def _phi_to_json(phi: Endomorphism, d: int):
-    if all(phi.images[i - 1] == rho(d).images[i - 1] for i in range(1, d + 1)):
+    if phi.is_canonical or phi.images == rho(d).images:
         return "rho"
     return {"images": [element_to_dict(img) for img in phi.images]}
 

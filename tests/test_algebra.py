@@ -175,6 +175,23 @@ class TestRaiseAndNormalForm:
             x = random_element(rng, 2)
             assert normal_form(normal_form(x)) == normal_form(x)
 
+    def test_raising_budget_counts_d_to_the_gap(self, monkeypatch):
+        from cuntz import ResourceLimitError
+
+        # I + s1^3 (s1^3)* in O_3: I becomes 27 words, the other word stays one.
+        x = identity(3) + word(3, [1] * 3, [1] * 3)
+        monkeypatch.setenv("CUNTZ_MAX_TERMS", "28")
+        assert len(x.normal_form()) == 27
+        monkeypatch.setenv("CUNTZ_MAX_TERMS", "27")
+        with pytest.raises(ResourceLimitError) as err:
+            x.normal_form()
+        assert (err.value.count, err.value.cap, err.value.operation) == (28, 27, "normal_form")
+
+    def test_budget_ignores_elements_that_need_no_raising(self, monkeypatch):
+        monkeypatch.setenv("CUNTZ_MAX_TERMS", "1")
+        x = word(2, [1], [2]) + word(2, [2], [1])
+        assert normal_form(x) == x
+
 
 class TestEquals:
     def test_identity_vs_completeness(self):

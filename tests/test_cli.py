@@ -232,6 +232,17 @@ class TestTermCapInput:
         assert code == 3
         assert "cap 16" in err
 
+    def test_normal_form_raising_over_cap_exits_3(self, capsys, monkeypatch, tmp_path):
+        # I + s1^8 (s1^8)* in O_4: raising I to length 8 would form 4^8 words.
+        el = Element(4, {Monomial((), ()): 1, Monomial((1,) * 8, (1,) * 8): 1})
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(element_to_dict(el)))
+        monkeypatch.setenv("CUNTZ_MAX_TERMS", "1000")
+        code, out, err = run(capsys, "normal-form", "--element", str(path))
+        assert code == 3
+        assert out == ""
+        assert "65537" in err and "cap 1000" in err and "normal_form" in err
+
     @pytest.mark.parametrize("raw", ["0", "-5", "abc"])
     def test_non_positive_flag_exits_2(self, capsys, raw):
         code, out, err = run(capsys, "embed", "--system", "std-o2", "--n", "1",

@@ -1,11 +1,15 @@
 """Generator-image endomorphisms: validation, application, built-ins."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuntz import (
     Element,
     EndomorphismValidationError,
     Endomorphism,
+    Monomial,
     apply_endomorphism,
     canonical_endomorphism,
     identity,
@@ -16,6 +20,8 @@ from cuntz import (
     rho,
     validate_endomorphism,
 )
+from cuntz import endomorphisms
+from cuntz.endomorphisms import is_rho
 from cuntz.sampling import random_element
 
 
@@ -100,3 +106,78 @@ def test_image_count_must_match_d():
 
     with pytest.raises(IndexRangeError):
         Endomorphism([isometry(3, 1), isometry(3, 2)])
+
+
+# -- sandwich form of rho against the generator-image path --------------------
+
+
+def elements(d):
+    index = st.integers(1, d)
+    words = st.lists(index, max_size=4).map(tuple)
+    # Few coefficients of both signs, so that image terms landing on one word
+    # often cancel.
+    coeff = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+    term = st.tuples(st.builds(Monomial, words, words), coeff)
+    return st.lists(term, max_size=10).map(lambda terms: Element(d, terms))
+
+
+@st.composite
+def rho_inputs(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    return d, draw(elements(d))
+
+
+def image_path_reference(endo, x):
+    """Sum of c * g(A) g(B)* over the terms c s_A s_B* of x, via Element addition."""
+    out = Element.zero(x.d)
+    for m, c in x.terms.items():
+        img = endo.image_of_word(m.create) * endo.image_of_word(m.annihilate).adjoint()
+        out = out + img.scale(c)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(rho_inputs())
+def test_rho_sandwich_matches_image_path(case):
+    d, x = case
+    sandwich = rho(d)
+    image_form = Endomorphism(list(sandwich.images))
+    assert not image_form.is_canonical
+    got = sandwich.apply(x)
+    assert got.terms == image_form.apply(x).terms
+    assert got.equals(canonical_endomorphism(x))
+    assert is_rho(sandwich) and is_rho(image_form)
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements(2))
+def test_image_path_accumulates_like_addition(x):
+    for endo in (phi1(), phi2(), identity_endomorphism(2), Endomorphism(rho(2).images)):
+        assert endo.apply(x).terms == image_path_reference(endo, x).terms
+
+
+def test_is_rho_rejects_other_endomorphisms():
+    others = [phi1(), phi2()] + [identity_endomorphism(d) for d in (2, 3, 4)]
+    assert not any(is_rho(endo) for endo in others)
+
+
+def test_rho_maps_the_unit_to_itself():
+    # rho(I) = sum_i s_i s_i* = I; the sandwich form keeps the unit word.
+    x = Element(3, {((), ()): 2, ((1,), ()): 1})
+    assert rho(3).apply(x) == Element(3, {((), ()): 2, ((1, 1), (1,)): 1,
+                                          ((2, 1), (2,)): 1, ((3, 1), (3,)): 1})
+    assert canonical_endomorphism(identity(3)).equals(identity(3))
+
+
+def test_rho_images_are_built_on_first_read(monkeypatch):
+    endo = rho(5)
+    calls = []
+    real = endomorphisms.canonical_endomorphism
+    monkeypatch.setattr(endomorphisms, "canonical_endomorphism",
+                        lambda x: calls.append(x) or real(x))
+    endo.apply(Element.word(5, (1, 2), (3,)))
+    assert calls == []
+    assert endo.images[2] == Element(5, {((i, 3), (i,)): 1 for i in range(1, 6)})
+    assert len(calls) == 5
+    endo.images
+    assert len(calls) == 5

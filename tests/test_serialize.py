@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuntz import Element, Monomial, SchemaError, StateVector
+from cuntz import Element, Monomial, SchemaError, StateVector, rho
 from cuntz.sampling import random_element
 from cuntz.serialize import (
     element_from_dict,
@@ -17,6 +17,7 @@ from cuntz.serialize import (
     rfs_to_dict,
     system_from_dict,
     system_from_spec,
+    system_to_dict,
     vector_from_dict,
     vector_to_dict,
 )
@@ -74,6 +75,13 @@ class TestSystemSchema:
         assert clone.seeds == rfs2.seeds
         assert clone.zeta.terms == rfs2.zeta.terms
 
+    def test_image_form_rho_is_written_as_rho(self, std_o2):
+        payload = rfs_to_dict(std_o2)
+        payload["phi"] = {"images": [element_to_dict(g) for g in rho(2).images]}
+        clone = rfs_from_dict(payload)
+        assert not clone.phi.is_canonical
+        assert rfs_to_dict(clone)["phi"] == "rho"
+
     def test_green_round_trip(self, rpfs2):
         clone = green_from_dict(green_to_dict(rpfs2))
         assert clone.seeds == rpfs2.seeds
@@ -94,6 +102,30 @@ class TestSystemSchema:
         from cuntz import verify_seed_condition
 
         assert not verify_seed_condition(system).ok
+
+    def test_large_rho_system_loads_without_rho_images(self, monkeypatch):
+        # phi "rho" on d = 3000 letters: loading and validating must not derive
+        # rho's 3000 generator images (each a 3000-term element).
+        from cuntz import SystemValidationError, endomorphisms
+        from cuntz.endomorphisms import is_rho
+
+        def refuse(x):
+            raise AssertionError("a rho image was built")
+
+        monkeypatch.setattr(endomorphisms, "canonical_endomorphism", refuse)
+        payload = {
+            "kind": "rfs", "d": 3000, "p": 1,
+            "seeds": [{"d": 3000, "terms": [{"coeff": "1", "create": [1], "annihilate": [2]}]}],
+            "zeta": [{"sign": 1, "left": 1, "right": 1}, {"sign": -1, "left": 2, "right": 2}],
+            "phi": "rho",
+        }
+        with pytest.raises(SystemValidationError) as err:
+            system_from_dict(payload)
+        failed = {line.check for line in err.value.report.failures()}
+        assert "normalization.certificate" in failed
+        system = system_from_dict(payload, validate=False)
+        assert is_rho(system.phi)
+        assert system_to_dict(system)["phi"] == "rho"
 
 
 class TestSystemSpecs:
