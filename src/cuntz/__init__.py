@@ -78,6 +78,7 @@ from .representation import (
     fock_build,
     fock_index,
     rep_apply,
+    rep_generator,
     rfs_p_fock_index,
     verify_vacuum,
 )

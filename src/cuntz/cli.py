@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import config
@@ -70,6 +71,16 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _non_negative_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {raw!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cuntz",
@@ -93,9 +104,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     add_common(p_verify, system_required=False)
     p_verify.add_argument("--suite", required=True, choices=ALL_SUITES)
-    p_verify.add_argument("--N", type=int, default=None, help="generator range")
-    p_verify.add_argument("--L", type=int, default=None, help="parafermion index range")
-    p_verify.add_argument("--depth", type=int, default=config.DEFAULT_SWEEP_DEPTH,
+    p_verify.add_argument("--N", type=_positive_int, default=None, help="generator range")
+    p_verify.add_argument("--L", type=_positive_int, default=None,
+                          help="parafermion index range")
+    p_verify.add_argument("--depth", type=_non_negative_int,
+                          default=config.DEFAULT_SWEEP_DEPTH,
                           help="total word length for sampled sweeps")
     p_verify.add_argument("--jobs", type=int, default=1, help="parallel fan-out degree")
 
@@ -180,8 +193,6 @@ def _generator_fn(system):
 
 def _cmd_embed(args) -> int:
     system = system_from_spec(args.system)
-    if args.max_terms is not None:
-        system.max_terms = args.max_terms
     if args.n < 1:
         raise IndexRangeError(f"--n must be >= 1, got {args.n}")
     element = _generator_fn(system)(args.n).normal_form()
@@ -198,8 +209,6 @@ def _cmd_verify(args) -> int:
     if not args.system:
         raise SchemaError(f"suite {suite!r} needs --system")
     system = system_from_spec(args.system, validate=False)
-    if args.max_terms is not None:
-        system.max_terms = args.max_terms
     if isinstance(system, GreenSystem):
         L = args.L or args.N or 4
         runners = {
@@ -245,15 +254,25 @@ def _green_all(system, depth, L, jobs) -> Report:
     return report
 
 
+def _require_printable(index: int):
+    """Refuse a basis index with more decimal digits than Python will print."""
+    try:
+        str(index)
+    except ValueError:
+        digits = int(index.bit_length() * math.log10(2)) + 1
+        raise ResourceLimitError(digits, sys.get_int_max_str_digits(),
+                                 what="index digits", operation="fock") from None
+
+
 def _cmd_fock(args) -> int:
     system = system_from_spec(args.system)
     if isinstance(system, GreenSystem):
         raise SchemaError("fock applies to fermion systems, not parafermion ones")
-    if args.max_terms is not None:
-        system.max_terms = args.max_terms
     modes = _parse_modes(args.modes)
     index = fock_index(modes)
+    _require_printable(index)
     vector = fock_build(system, modes)
+    _require_printable(max(vector.amps, default=1))
     match = vector == StateVector.unit(index)
     if args.format == "json":
         print(json.dumps({
@@ -310,7 +329,8 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         config.max_terms_cap()  # reject a malformed $CUNTZ_MAX_TERMS up front
-        return _HANDLERS[args.command](args)
+        with config.scoped_max_terms(getattr(args, "max_terms", None)):
+            return _HANDLERS[args.command](args)
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

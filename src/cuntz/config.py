@@ -1,5 +1,6 @@
 """Tunable defaults: resource caps, sweep depths, reproducibility seed."""
 
+import contextlib
 import os
 
 from .errors import ConfigError
@@ -23,11 +24,18 @@ DEFAULT_SPAN_BASIS_CAP = 65_536
 DEFAULT_RNG_SEED = 271828
 
 
+# Term cap set by ``scoped_max_terms``; it takes the place of the environment
+# variable while set.  A plain global, so the sweeps' worker threads see it.
+_scoped_max_terms = None
+
+
 def max_terms_cap(override=None):
-    """Current term cap: ``override`` if given, else the environment
-    variable if set, else the default."""
+    """Current term cap: ``override`` if given, else the scoped cap if one
+    is set, else the environment variable if set, else the default."""
     if override is not None:
         return override
+    if _scoped_max_terms is not None:
+        return _scoped_max_terms
     raw = os.environ.get(MAX_TERMS_ENV)
     if raw is None:
         return DEFAULT_MAX_TERMS
@@ -38,6 +46,20 @@ def max_terms_cap(override=None):
     if value <= 0:
         raise ConfigError(f"{MAX_TERMS_ENV} must be a positive integer, got {raw!r}")
     return value
+
+
+@contextlib.contextmanager
+def scoped_max_terms(cap):
+    """Within the block, ``cap`` bounds what the environment variable would;
+    ``None`` leaves the cap as it is.  The previous cap is restored on exit."""
+    global _scoped_max_terms
+    saved = _scoped_max_terms
+    if cap is not None:
+        _scoped_max_terms = cap
+    try:
+        yield
+    finally:
+        _scoped_max_terms = saved
 
 
 def default_car_range(p):

@@ -16,10 +16,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import config
 from .algebra import Element
-from .errors import IndexRangeError
+from .errors import IndexRangeError, ResourceLimitError
 from .reports import Report
-from .rfs import GeneratorFamily
+from .rfs import GeneratorFamily, RfsSystem
 
 
 class StateVector:
@@ -175,6 +176,75 @@ def rep_apply(x: Element, v: StateVector) -> StateVector:
     return StateVector._make(total)
 
 
+def rep_generator(family, n: int, v: StateVector, adjoint: bool = False) -> StateVector:
+    """Act on v by the family's n-th generator A_n, or by A_n* if ``adjoint``.
+
+    For a recursive fermion system, A_n = z^k(a_i) with n - 1 = p k + (i - 1)
+    acts in sandwich form and is never expanded into its 2^k words.  A
+    sandwich s_u X s_v* of z meets a basis vector with s_v* first, and
+    s_v* e_N = e_m exactly when N = d(m-1) + v.  So the k outer levels read
+    the last k base-d digits off N, the seed acts on the e_M that is left,
+    and each level then applies sign * s_u for every sandwich whose v is its
+    digit, innermost level first.  The adjoint uses a_i* and the transposed
+    sandwiches.  A diagonal sign matrix never branches, so the cost per basis
+    vector is O(k); a branching map is held to the term cap.
+
+    Any other family acts by ``rep_apply`` on its expanded generator.
+    """
+    if not isinstance(family, RfsSystem):
+        x = family.generator(n)
+        return rep_apply(x.adjoint() if adjoint else x, v)
+    if not isinstance(n, int) or n < 1:
+        raise IndexRangeError(f"generator index must be >= 1, got {n}")
+    d = family.d
+    k, i = divmod(n - 1, family.p)
+    seed = family.seeds[i]
+    # written[r]: (sign, letter written) of each sandwich that reads digit r
+    written: dict[int, list[tuple[int, int]]] = {r: [] for r in range(1, d + 1)}
+    for sign, left, right in family.zeta.terms:
+        if adjoint:
+            left, right = right, left
+        written[right].append((sign, left))
+    if adjoint:
+        seed = seed.adjoint()
+    cap = config.max_terms_cap(family.max_terms)
+    total: dict[int, Fraction] = {}
+    for index, amp in v.amps.items():
+        digits = []
+        for _ in range(k):
+            index, r = divmod(index - 1, d)
+            index += 1
+            digits.append(r + 1)
+        w = rep_apply(seed, StateVector._make({index: amp})).amps
+        for r in reversed(digits):
+            if not w:
+                break
+            out: dict[int, Fraction] = {}
+            for sign, u in written[r]:
+                for m, c in w.items():
+                    key = d * (m - 1) + u
+                    cc = c if sign > 0 else -c
+                    acc = out.get(key)
+                    if acc is not None:
+                        cc = acc + cc
+                    if cc:
+                        out[key] = cc
+                    elif key in out:
+                        del out[key]
+            if len(out) > cap:
+                raise ResourceLimitError(len(out), cap, operation="rep_generator")
+            w = out
+        for m, c in w.items():
+            acc = total.get(m)
+            if acc is not None:
+                c = acc + c
+            if c:
+                total[m] = c
+            elif m in total:
+                del total[m]
+    return StateVector._make(total)
+
+
 # -- Fock indexing ------------------------------------------------------------
 
 
@@ -219,7 +289,7 @@ def fock_build(family, modes: Iterable[int]) -> StateVector:
     modes = _check_modes(modes)
     v = StateVector.unit(1)
     for n in reversed(modes):
-        v = rep_apply(family.generator(n).adjoint(), v)
+        v = rep_generator(family, n, v, adjoint=True)
     return v
 
 
@@ -229,7 +299,7 @@ def verify_vacuum(family, n_max: int, jobs: int = 1) -> Report:
     vacuum = StateVector.unit(1)
     bad = None
     for n in range(1, n_max + 1):
-        image = rep_apply(family.generator(n), vacuum)
+        image = rep_generator(family, n, vacuum)
         if not image.is_zero:
             bad = (n, image)
             break

@@ -250,3 +250,81 @@ class TestTermCapInput:
         assert code == 2
         assert out == ""
         assert "--max-terms" in err and "positive" in err
+
+
+class TestLargeModes:
+    """Fock and vacuum act in sandwich form, so deep modes answer exactly."""
+
+    def test_fock_mode_2000(self, capsys):
+        code, out, _ = run(capsys, "fock", "--system", "std-o2", "--modes", "1,2000",
+                           "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["index"] == str(2 + 2**1999)
+        assert payload["match"] is True
+
+    def test_vacuum_N_300(self, capsys):
+        code, out, _ = run(capsys, "verify", "--system", "std-o2", "--suite", "vacuum",
+                           "--N", "300")
+        assert code == 0
+        assert '[PASS] vacuum.annihilation {"N": 300}' in out
+
+    def test_unprintable_index_exits_3(self, capsys):
+        # 2^19999 has more decimal digits than Python converts by default.
+        code, out, err = run(capsys, "fock", "--system", "std-o2", "--modes", "20000")
+        assert code == 3
+        assert out == ""
+        assert "index digits" in err and "in fock" in err
+
+
+class TestMaxTermsFlag:
+    """``--max-terms`` bounds what ``$CUNTZ_MAX_TERMS`` bounds, for one command."""
+
+    CAR = ("verify", "--system", "std-o2", "--suite", "car", "--N", "1")
+
+    def test_flag_caps_normal_form(self, capsys):
+        code, out, err = run(capsys, *self.CAR, "--max-terms", "1")
+        assert code == 3
+        assert out == ""
+        assert "cap 1 in normal_form" in err
+
+    def test_flag_matches_env(self, capsys, monkeypatch):
+        code_flag, _, err_flag = run(capsys, *self.CAR, "--max-terms", "1")
+        monkeypatch.setenv("CUNTZ_MAX_TERMS", "1")
+        code_env, _, err_env = run(capsys, *self.CAR)
+        assert (code_flag, err_flag) == (code_env, err_env)
+
+    def test_flag_does_not_leak_into_next_call(self, capsys):
+        run(capsys, *self.CAR, "--max-terms", "1")
+        code, out, _ = run(capsys, *self.CAR)
+        assert code == 0
+        assert "[PASS]" in out
+
+
+class TestRangeFlags:
+    @pytest.mark.parametrize("raw", ["-3", "0", "x"])
+    def test_bad_N_exits_2(self, capsys, raw):
+        code, out, err = run(capsys, "verify", "--system", "std-o2", "--suite", "vacuum",
+                             "--N", raw)
+        assert code == 2
+        assert out == ""
+        assert "--N" in err and "positive" in err
+
+    @pytest.mark.parametrize("raw", ["-2", "0"])
+    def test_bad_L_exits_2(self, capsys, raw):
+        code, out, err = run(capsys, "verify", "--suite", "klein", "--L", raw)
+        assert code == 2
+        assert out == ""
+        assert "--L" in err and "positive" in err
+
+    def test_negative_depth_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--system", "std-o2", "--suite", "recursive",
+                             "--depth", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--depth" in err and "non-negative" in err
+
+    def test_zero_depth_is_accepted(self, capsys):
+        code, _, _ = run(capsys, "verify", "--system", "std-o2", "--suite", "recursive",
+                         "--depth", "0")
+        assert code == 0

@@ -1,12 +1,17 @@
 """Action on the indexed basis, Fock indexing, vacuum shifts."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cuntz import (
     Element,
     IndexRangeError,
+    RecursiveMap,
+    ResourceLimitError,
+    RfsSystem,
     StateVector,
     apply_generator,
     apply_generator_adjoint,
@@ -14,11 +19,17 @@ from cuntz import (
     decode_index,
     fock_build,
     fock_index,
+    generalized_rfs_o2d,
     rep_apply,
+    rep_generator,
     rfs_p_fock_index,
+    rho,
+    standard_rfs_o2,
+    standard_rfs_p,
     verify_car,
     verify_vacuum,
 )
+from cuntz import config
 from cuntz.sampling import random_element
 
 e = StateVector.unit
@@ -217,3 +228,114 @@ class TestStateVector:
         assert str(StateVector.zero()) == "0"
         assert str(e(4)) == "e_4"
         assert str(StateVector({2: Fraction(1, 2)})) == "1/2 e_2"
+
+
+# A sign matrix that is not diagonal: each digit is read by two sandwiches,
+# so the sandwich action branches at every level.
+NON_DIAGONAL = ((1, 1, 2), (1, 2, 1), (-1, 1, 1), (1, 2, 2))
+# Not symmetric, so the adjoint must transpose the sandwiches; the last two
+# sandwiches cancel.
+ASYMMETRIC = ((1, 1, 2), (-1, 2, 1), (1, 2, 2), (1, 1, 1), (-1, 1, 1))
+
+
+def non_diagonal_system(max_terms=None, terms=NON_DIAGONAL):
+    seeds = standard_rfs_o2(validate=False).seeds
+    return RfsSystem(seeds, RecursiveMap(2, terms), rho(2), label="non-diagonal",
+                     validate=False, max_terms=max_terms)
+
+
+SANDWICH_SYSTEMS = {
+    "std-o2": standard_rfs_o2,
+    "std-rfs-p:2": lambda: standard_rfs_p(2),
+    "std-rfs-p:3": lambda: standard_rfs_p(3),
+    "rfs-o4": lambda: generalized_rfs_o2d(2, [1, 3], [2, 4]),
+    "non-diagonal": non_diagonal_system,
+    "asymmetric": lambda: non_diagonal_system(terms=ASYMMETRIC),
+}
+
+# Every built-in fermion system (std-o2 and std-rfs-p:<p>, p up to the default limit).
+BUILT_IN_RFS = {"std-o2": lambda: standard_rfs_o2(validate=False),
+                **{f"std-rfs-p:{p}": (lambda p=p: standard_rfs_p(p, validate=False))
+                   for p in range(1, 7)}}
+
+
+@cache
+def sandwich_system(name):
+    return SANDWICH_SYSTEMS[name]()
+
+
+@st.composite
+def sandwich_cases(draw):
+    name = draw(st.sampled_from(sorted(SANDWICH_SYSTEMS)))
+    d = sandwich_system(name).d
+    # Few coefficients of both signs, so that images of distinct basis
+    # vectors landing on one index often cancel.
+    coeff = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
+    amps = draw(st.lists(st.tuples(st.integers(1, d**6), coeff), min_size=1, max_size=4))
+    n = draw(st.integers(1, 9))
+    return name, n, StateVector(amps), draw(st.booleans())
+
+
+class TestSandwichAction:
+    """``rep_generator`` against ``rep_apply`` on the expanded generator."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sandwich_cases())
+    def test_matches_expanded_generator(self, case):
+        name, n, v, adjoint = case
+        system = sandwich_system(name)
+        x = system.generator(n)
+        expected = rep_apply(x.adjoint() if adjoint else x, v)
+        assert rep_generator(system, n, v, adjoint) == expected
+
+    @pytest.mark.parametrize("name", list(BUILT_IN_RFS))
+    def test_fock_and_vacuum_match_expansion_path(self, name):
+        system = BUILT_IN_RFS[name]()
+        # A GeneratorFamily always acts through its expanded generators.
+        reference = system.family()
+        for n in range(1, 11):
+            assert (verify_vacuum(system, n).to_json_lines()
+                    == verify_vacuum(reference, n).to_json_lines())
+        mode_lists = [(n,) for n in range(1, 11)] + [(n, n + 1) for n in range(1, 10)]
+        mode_lists += [(1, 4, 6, 9), tuple(range(1, 11))]
+        for modes in mode_lists:
+            assert fock_build(system, modes) == fock_build(reference, modes)
+
+    def test_failing_vacuum_matches_expansion_path(self):
+        swapped = RfsSystem((Element.word(2, (2,), (1,)),), standard_rfs_o2().zeta, rho(2),
+                            validate=False)
+        report = verify_vacuum(swapped, 4)
+        assert report.to_json_lines() == verify_vacuum(swapped.family(), 4).to_json_lines()
+        assert report.first_failure().witness == "A_1 e_1 = e_2"
+
+    def test_other_families_act_through_expansion(self, std_o2):
+        family = bogoliubov_family(std_o2, [1, 2])
+        for n in range(1, 5):
+            for adjoint in (False, True):
+                x = family.generator(n)
+                expected = rep_apply(x.adjoint() if adjoint else x, e(4))
+                assert rep_generator(family, n, e(4), adjoint) == expected
+
+    def test_large_mode_is_not_expanded(self, std_o2):
+        # A_2000 has 2^1999 words; in sandwich form it moves e_1 to one vector.
+        assert rep_generator(std_o2, 2000, e(1), adjoint=True) == e(2**1999 + 1)
+        assert rep_generator(std_o2, 2000, e(1)).is_zero
+        assert fock_build(std_o2, [1, 2000]) == e(fock_index([1, 2000]))
+
+    def test_branching_is_held_to_the_cap(self):
+        # Four levels that each double the vector pass a cap of 16, not one of 8.
+        assert len(rep_generator(non_diagonal_system(max_terms=16), 5, e(1), True)) == 16
+        with pytest.raises(ResourceLimitError, match="in rep_generator"):
+            rep_generator(non_diagonal_system(max_terms=8), 5, e(1), True)
+
+    def test_scoped_cap_reaches_branching(self):
+        # The CLI's --max-terms sets this scope for one command.
+        system = non_diagonal_system()
+        with config.scoped_max_terms(8):
+            with pytest.raises(ResourceLimitError, match="cap 8 in rep_generator"):
+                rep_generator(system, 5, e(1), True)
+        assert len(rep_generator(system, 5, e(1), True)) == 16
+
+    def test_bad_index(self, std_o2):
+        with pytest.raises(IndexRangeError):
+            rep_generator(std_o2, 0, e(1))
