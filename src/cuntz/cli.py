@@ -110,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--depth", type=_non_negative_int,
                           default=config.DEFAULT_SWEEP_DEPTH,
                           help="total word length for sampled sweeps")
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel fan-out degree")
 
     p_fock = sub.add_parser("fock", help="basis index and vector for occupied modes")
     add_common(p_fock)
@@ -202,9 +201,8 @@ def _cmd_embed(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    jobs = max(1, args.jobs)
     if suite == "klein":
-        report = verify_klein_identities(L=args.L or 3, depth=args.depth, jobs=jobs)
+        report = verify_klein_identities(L=args.L or 3, depth=args.depth)
         return _print_report(report, args.format)
     if not args.system:
         raise SchemaError(f"suite {suite!r} needs --system")
@@ -212,31 +210,26 @@ def _cmd_verify(args) -> int:
     if isinstance(system, GreenSystem):
         L = args.L or args.N or 4
         runners = {
-            "seed": lambda: verify_green_seed(system, jobs=jobs),
-            "recursive": lambda: verify_green_recursive(system, depth=args.depth, jobs=jobs),
-            "normalization": lambda: verify_green_normalization(system, depth=args.depth,
-                                                                jobs=jobs),
-            "cross": lambda: verify_cross_commutation(system, depth=min(args.depth, 1),
-                                                      jobs=jobs),
-            "green": lambda: verify_green_relations(system, L, jobs=jobs),
-            "trilinear": lambda: verify_trilinear(system, L, jobs=jobs),
-            "spectrum": lambda: verify_spectrum_polynomial(system, L, jobs=jobs),
-            "vacuum": lambda: verify_parafermion_vacuum(system, L, jobs=jobs),
-            "parafermion": lambda: verify_parafermion(system, L, jobs=jobs),
-            "all": lambda: _green_all(system, args.depth, L, jobs),
+            "seed": lambda: verify_green_seed(system),
+            "recursive": lambda: verify_green_recursive(system, depth=args.depth),
+            "normalization": lambda: verify_green_normalization(system, depth=args.depth),
+            "cross": lambda: verify_cross_commutation(system, depth=min(args.depth, 1)),
+            "green": lambda: verify_green_relations(system, L),
+            "trilinear": lambda: verify_trilinear(system, L),
+            "spectrum": lambda: verify_spectrum_polynomial(system, L),
+            "vacuum": lambda: verify_parafermion_vacuum(system, L),
+            "parafermion": lambda: verify_parafermion(system, L),
+            "all": lambda: _green_all(system, args.depth, L),
         }
     else:
         n_max = args.N or config.default_car_range(system.p)
         runners = {
-            "seed": lambda: verify_seed_condition(system, jobs=jobs),
-            "recursive": lambda: verify_recursive_condition(system, depth=args.depth,
-                                                            jobs=jobs),
-            "normalization": lambda: verify_normalization(system, depth=args.depth,
-                                                          jobs=jobs),
-            "car": lambda: verify_car(system, n_max, jobs=jobs),
+            "seed": lambda: verify_seed_condition(system),
+            "recursive": lambda: verify_recursive_condition(system, depth=args.depth),
+            "normalization": lambda: verify_normalization(system, depth=args.depth),
+            "car": lambda: verify_car(system, n_max),
             "vacuum": lambda: verify_vacuum(system, n_max),
-            "all": lambda: verify_all(system, depth=args.depth, car_range=n_max,
-                                      jobs=jobs),
+            "all": lambda: verify_all(system, depth=args.depth, car_range=n_max),
         }
     runner = runners.get(suite)
     if runner is None:
@@ -244,13 +237,13 @@ def _cmd_verify(args) -> int:
     return _print_report(runner(), args.format)
 
 
-def _green_all(system, depth, L, jobs) -> Report:
-    report = verify_green_seed(system, jobs=jobs)
-    report.extend(verify_green_recursive(system, depth=depth, jobs=jobs))
-    report.extend(verify_green_normalization(system, depth=depth, jobs=jobs))
-    report.extend(verify_cross_commutation(system, depth=1, jobs=jobs))
-    report.extend(verify_green_relations(system, L, jobs=jobs))
-    report.extend(verify_parafermion(system, L, jobs=jobs))
+def _green_all(system, depth, L) -> Report:
+    report = verify_green_seed(system)
+    report.extend(verify_green_recursive(system, depth=depth))
+    report.extend(verify_green_normalization(system, depth=depth))
+    report.extend(verify_cross_commutation(system, depth=1))
+    report.extend(verify_green_relations(system, L))
+    report.extend(verify_parafermion(system, L))
     return report
 
 

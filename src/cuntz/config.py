@@ -25,7 +25,7 @@ DEFAULT_RNG_SEED = 271828
 
 
 # Term cap set by ``scoped_max_terms``; it takes the place of the environment
-# variable while set.  A plain global, so the sweeps' worker threads see it.
+# variable while set.  ``cli.main`` sets it for the length of one command.
 _scoped_max_terms = None
 
 

@@ -38,10 +38,11 @@ from .errors import (
     SystemValidationError,
 )
 from .representation import StateVector, rep_apply
-from .reports import INCONCLUSIVE, Report, sweep_first_failure
+from .reports import INCONCLUSIVE, Report
 from .rfs import (
     GeneratorFamily,
     RecursiveMap,
+    _matrix_product,
     anticommute_certificate,
     commute_certificate,
     normalization_matrix_holds,
@@ -173,36 +174,31 @@ def standard_rpfs_p(p: int, p_max: Optional[int] = None, validate: bool = True) 
 # -- condition verification ----------------------------------------------------
 
 
-def verify_green_seed(g: GreenSystem, jobs: int = 1) -> Report:
+def verify_green_seed(g: GreenSystem) -> Report:
     """Seed conditions: fermionic within a component, commuting across."""
     report = Report()
     zero = Element.zero(g.d)
     unit = identity(g.d)
     p = g.p
 
-    def check(name, candidates, predicate, render):
-        bad = sweep_first_failure(predicate, candidates, jobs=jobs)
-        report.add(name, {"components": p}, bad is None,
-                   witness=None if bad is None else render(bad))
-
-    check("green-seed.square", range(p),
-          lambda a: (g.seeds[a] * g.seeds[a]).equals(zero),
-          lambda a: f"(a^({a + 1}))^2 != 0")
-    check("green-seed.self", range(p),
-          lambda a: anticommutator(g.seeds[a], g.seeds[a].adjoint()).equals(unit),
-          lambda a: "{a^(%d), a^(%d)*} != I" % (a + 1, a + 1))
+    report.scan("green-seed.square", {"components": p}, range(p),
+                lambda a: (g.seeds[a] * g.seeds[a]).equals(zero),
+                lambda a: f"(a^({a + 1}))^2 != 0")
+    report.scan("green-seed.self", {"components": p}, range(p),
+                lambda a: anticommutator(g.seeds[a], g.seeds[a].adjoint()).equals(unit),
+                lambda a: "{a^(%d), a^(%d)*} != I" % (a + 1, a + 1))
     cross = [(a, b) for a in range(p) for b in range(p) if a != b]
-    check("green-seed.cross-commute", cross,
-          lambda ab: commutator(g.seeds[ab[0]], g.seeds[ab[1]]).equals(zero),
-          lambda ab: "[a^(%d), a^(%d)] != 0" % (ab[0] + 1, ab[1] + 1))
-    check("green-seed.cross-mixed", cross,
-          lambda ab: commutator(g.seeds[ab[0]], g.seeds[ab[1]].adjoint()).equals(zero),
-          lambda ab: "[a^(%d), a^(%d)*] != 0" % (ab[0] + 1, ab[1] + 1))
+    report.scan("green-seed.cross-commute", {"components": p}, cross,
+                lambda ab: commutator(g.seeds[ab[0]], g.seeds[ab[1]]).equals(zero),
+                lambda ab: "[a^(%d), a^(%d)] != 0" % (ab[0] + 1, ab[1] + 1))
+    report.scan("green-seed.cross-mixed", {"components": p}, cross,
+                lambda ab: commutator(g.seeds[ab[0]], g.seeds[ab[1]].adjoint()).equals(zero),
+                lambda ab: "[a^(%d), a^(%d)*] != 0" % (ab[0] + 1, ab[1] + 1))
     return report
 
 
-def verify_green_recursive(g: GreenSystem, depth: int = config.DEFAULT_SWEEP_DEPTH,
-                           jobs: int = 1) -> Report:
+def verify_green_recursive(g: GreenSystem,
+                           depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report:
     """Per component: anticommutation with its own map; commutation with others."""
     report = Report()
     zero = Element.zero(g.d)
@@ -214,14 +210,12 @@ def verify_green_recursive(g: GreenSystem, depth: int = config.DEFAULT_SWEEP_DEP
         cert_ok, cert_witness = anticommute_certificate(g.seeds[a], g.zetas[a])
         report.add("green-recursive.certificate", {"component": a + 1}, cert_ok,
                    witness=cert_witness)
-        bad = sweep_first_failure(
-            lambda idx, _a=a: anticommutator(g.seeds[_a], images[_a][idx]).equals(zero),
-            range(len(monomials)), jobs=jobs)
-        report.add("green-recursive.sampled",
-                   {"component": a + 1, "depth": depth, "monomials": len(monomials)},
-                   bad is None,
-                   witness=None if bad is None else
-                   "{a^(%d), z_%d(%s)} != 0" % (a + 1, a + 1, monomials[bad]))
+        bad = report.scan(
+            "green-recursive.sampled",
+            {"component": a + 1, "depth": depth, "monomials": len(monomials)},
+            range(len(monomials)),
+            lambda idx: anticommutator(g.seeds[a], images[a][idx]).equals(zero),
+            lambda idx: "{a^(%d), z_%d(%s)} != 0" % (a + 1, a + 1, monomials[idx]))
         if not cert_ok and bad is None:
             report.add("green-recursive.condition", {"component": a + 1}, False,
                        status=INCONCLUSIVE)
@@ -237,22 +231,20 @@ def verify_green_recursive(g: GreenSystem, depth: int = config.DEFAULT_SWEEP_DEP
             cert_ok, cert_witness = commute_certificate(g.seeds[a], g.zetas[b])
             report.add("green-recursive.cross-certificate",
                        {"component": a + 1, "map": b + 1}, cert_ok, witness=cert_witness)
-            bad = sweep_first_failure(
-                lambda idx, _a=a, _b=b: commutator(g.seeds[_a], images[_b][idx]).equals(zero),
-                range(len(monomials)), jobs=jobs)
-            report.add("green-recursive.cross-sampled",
-                       {"component": a + 1, "map": b + 1, "depth": depth},
-                       bad is None,
-                       witness=None if bad is None else
-                       "[a^(%d), z_%d(%s)] != 0" % (a + 1, b + 1, monomials[bad]))
+            bad = report.scan(
+                "green-recursive.cross-sampled",
+                {"component": a + 1, "map": b + 1, "depth": depth},
+                range(len(monomials)),
+                lambda idx: commutator(g.seeds[a], images[b][idx]).equals(zero),
+                lambda idx: "[a^(%d), z_%d(%s)] != 0" % (a + 1, b + 1, monomials[idx]))
             if not cert_ok and bad is None:
                 report.add("green-recursive.cross-condition",
                            {"component": a + 1, "map": b + 1}, False, status=INCONCLUSIVE)
     return report
 
 
-def verify_green_normalization(g: GreenSystem, depth: int = config.DEFAULT_SWEEP_DEPTH,
-                               jobs: int = 1) -> Report:
+def verify_green_normalization(g: GreenSystem,
+                               depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report:
     report = Report()
     monomials = list(iter_monomials(g.d, depth))
     elements = [Element._make(g.d, {m: Fraction(1)}) for m in monomials]
@@ -269,42 +261,25 @@ def verify_green_normalization(g: GreenSystem, depth: int = config.DEFAULT_SWEEP
                        status=INCONCLUSIVE)
         images = [g.zetas[a].apply(el) for el in elements]
 
-        def pair_ok(pair, _a=a, _images=images):
+        def pair_ok(pair):
             ix, iy = pair
-            return (_images[ix] * _images[iy]).equals(
-                g.phis[_a].apply(elements[ix] * elements[iy]))
+            return (images[ix] * images[iy]).equals(
+                g.phis[a].apply(elements[ix] * elements[iy]))
 
-        bad = sweep_first_failure(pair_ok, itertools.product(range(n), range(n)), jobs=jobs)
-        report.add("green-normalization.sampled",
-                   {"component": a + 1, "depth": depth, "pairs": n * n},
-                   bad is None,
-                   witness=None if bad is None else
-                   "z_%d(%s) z_%d(%s) != phi(product)" % (
-                       a + 1, monomials[bad[0]], a + 1, monomials[bad[1]]))
+        report.scan("green-normalization.sampled",
+                    {"component": a + 1, "depth": depth, "pairs": n * n},
+                    itertools.product(range(n), range(n)), pair_ok,
+                    lambda pair: "z_%d(%s) z_%d(%s) != phi(product)" % (
+                        a + 1, monomials[pair[0]], a + 1, monomials[pair[1]]))
     return report
 
 
 def _matrices_commute(za: RecursiveMap, zb: RecursiveMap, d: int) -> bool:
     ma, mb = za.sandwich_matrix(), zb.sandwich_matrix()
-
-    def product(x, y):
-        out = {}
-        for (u, v), cx in x.items():
-            for w in range(1, d + 1):
-                cy = y.get((v, w), 0)
-                if not cy:
-                    continue
-                total = out.get((u, w), 0) + cx * cy
-                if total:
-                    out[(u, w)] = total
-                elif (u, w) in out:
-                    del out[(u, w)]
-        return out
-
-    return product(ma, mb) == product(mb, ma)
+    return _matrix_product(ma, mb, d) == _matrix_product(mb, ma, d)
 
 
-def verify_cross_commutation(g: GreenSystem, depth: int = 1, jobs: int = 1) -> Report:
+def verify_cross_commutation(g: GreenSystem, depth: int = 1) -> Report:
     """Maps preserve commutation: [z_a(X), z_b(Y)] = 0 whenever [X, Y] = 0.
 
     Exact certificate: the sandwich sign matrices commute.  The sampled
@@ -333,12 +308,10 @@ def verify_cross_commutation(g: GreenSystem, depth: int = 1, jobs: int = 1) -> R
         return commutator(g.zetas[a].apply(elements[i]),
                           g.zetas[b].apply(elements[j])).equals(zero)
 
-    bad = sweep_first_failure(ok, candidates, jobs=jobs)
-    report.add("cross-commutation.sampled",
-               {"depth": depth, "word-pairs": len(commuting)}, bad is None,
-               witness=None if bad is None else
-               "[z_%d(%s), z_%d(%s)] != 0" % (
-                   bad[0] + 1, monomials[bad[2]], bad[1] + 1, monomials[bad[3]]))
+    report.scan("cross-commutation.sampled", {"depth": depth, "word-pairs": len(commuting)},
+                candidates, ok,
+                lambda item: "[z_%d(%s), z_%d(%s)] != 0" % (
+                    item[0] + 1, monomials[item[2]], item[1] + 1, monomials[item[3]]))
     return report
 
 
@@ -372,7 +345,7 @@ def validate_green_system(g: GreenSystem) -> Report:
     return report
 
 
-def verify_green_relations(g: GreenSystem, L: int, jobs: int = 1) -> Report:
+def verify_green_relations(g: GreenSystem, L: int) -> Report:
     """Component families: fermionic within, commuting across, up to index L."""
     report = Report()
     zero = Element.zero(g.d)
@@ -387,20 +360,16 @@ def verify_green_relations(g: GreenSystem, L: int, jobs: int = 1) -> Report:
         a, m, n = item
         return anticommutator(comp[(a, m)], comp[(a, n)]).equals(zero)
 
-    bad = sweep_first_failure(anti_ok, same, jobs=jobs)
-    report.add("green.anticommute", {"L": L}, bad is None,
-               witness=None if bad is None else
-               "{a_%d^(%d), a_%d^(%d)} != 0" % (bad[1], bad[0], bad[2], bad[0]))
+    report.scan("green.anticommute", {"L": L}, same, anti_ok,
+                lambda t: "{a_%d^(%d), a_%d^(%d)} != 0" % (t[1], t[0], t[2], t[0]))
 
     def mixed_ok(item):
         a, m, n = item
         rhs = unit if m == n else zero
         return anticommutator(comp[(a, m)], comp[(a, n)].adjoint()).equals(rhs)
 
-    bad = sweep_first_failure(mixed_ok, same, jobs=jobs)
-    report.add("green.mixed", {"L": L}, bad is None,
-               witness=None if bad is None else
-               "{a_%d^(%d), a_%d^(%d)*} wrong" % (bad[1], bad[0], bad[2], bad[0]))
+    report.scan("green.mixed", {"L": L}, same, mixed_ok,
+                lambda t: "{a_%d^(%d), a_%d^(%d)*} wrong" % (t[1], t[0], t[2], t[0]))
 
     cross = [(a, b, m, n) for a in range(1, g.p + 1) for b in range(1, g.p + 1)
              if a != b for m in range(1, L + 1) for n in range(1, L + 1)]
@@ -409,19 +378,15 @@ def verify_green_relations(g: GreenSystem, L: int, jobs: int = 1) -> Report:
         a, b, m, n = item
         return commutator(comp[(a, m)], comp[(b, n)]).equals(zero)
 
-    bad = sweep_first_failure(cross_ok, cross, jobs=jobs)
-    report.add("green.cross-commute", {"L": L}, bad is None,
-               witness=None if bad is None else
-               "[a_%d^(%d), a_%d^(%d)] != 0" % (bad[2], bad[0], bad[3], bad[1]))
+    report.scan("green.cross-commute", {"L": L}, cross, cross_ok,
+                lambda t: "[a_%d^(%d), a_%d^(%d)] != 0" % (t[2], t[0], t[3], t[1]))
 
     def cross_mixed_ok(item):
         a, b, m, n = item
         return commutator(comp[(a, m)], comp[(b, n)].adjoint()).equals(zero)
 
-    bad = sweep_first_failure(cross_mixed_ok, cross, jobs=jobs)
-    report.add("green.cross-mixed", {"L": L}, bad is None,
-               witness=None if bad is None else
-               "[a_%d^(%d), a_%d^(%d)*] != 0" % (bad[2], bad[0], bad[3], bad[1]))
+    report.scan("green.cross-mixed", {"L": L}, cross, cross_mixed_ok,
+                lambda t: "[a_%d^(%d), a_%d^(%d)*] != 0" % (t[2], t[0], t[3], t[1]))
     return report
 
 
@@ -436,7 +401,7 @@ def _pf_generator_fn(source):
     return source
 
 
-def verify_trilinear(source, L: int, jobs: int = 1) -> Report:
+def verify_trilinear(source, L: int) -> Report:
     """Double-commutator relations for generators 1..L.
 
     Checked families (indices run over 1..L; delta is Kronecker's):
@@ -467,31 +432,26 @@ def verify_trilinear(source, L: int, jobs: int = 1) -> Report:
     inner_ss = {(m, n): commutator(adjs[m], adjs[n])
                 for m in range(L) for n in range(m + 1, L)}
 
-    def run(name, candidates, predicate, render):
-        bad = sweep_first_failure(predicate, candidates, jobs=jobs)
-        report.add(name, {"L": L}, bad is None,
-                   witness=None if bad is None else render(bad))
-
     skew = [(l, m, n) for l in range(L) for m in range(L) for n in range(m + 1, L)]
     full = [(l, m, n) for l in range(L) for m in range(L) for n in range(L)]
 
-    run("trilinear.comm-comm", skew,
-        lambda t: commutator(gens[t[0]], inner_aa[(t[1], t[2])]).equals(zero),
-        lambda t: "[a_%d, [a_%d, a_%d]] != 0" % (t[0] + 1, t[1] + 1, t[2] + 1))
+    report.scan("trilinear.comm-comm", {"L": L}, skew,
+                lambda t: commutator(gens[t[0]], inner_aa[(t[1], t[2])]).equals(zero),
+                lambda t: "[a_%d, [a_%d, a_%d]] != 0" % (t[0] + 1, t[1] + 1, t[2] + 1))
 
-    run("trilinear.number-action", full,
-        lambda t: commutator(gens[t[0]], inner_sa[(t[1], t[2])]).equals(
-            gens[t[2]].scale(2) if t[0] == t[1] else zero),
-        lambda t: "[a_%d, [a_%d*, a_%d]] wrong" % (t[0] + 1, t[1] + 1, t[2] + 1))
+    report.scan("trilinear.number-action", {"L": L}, full,
+                lambda t: commutator(gens[t[0]], inner_sa[(t[1], t[2])]).equals(
+                    gens[t[2]].scale(2) if t[0] == t[1] else zero),
+                lambda t: "[a_%d, [a_%d*, a_%d]] wrong" % (t[0] + 1, t[1] + 1, t[2] + 1))
 
-    run("trilinear.comm-comm-adjoint", skew,
-        lambda t: commutator(adjs[t[0]], inner_ss[(t[1], t[2])]).equals(zero),
-        lambda t: "[a_%d*, [a_%d*, a_%d*]] != 0" % (t[0] + 1, t[1] + 1, t[2] + 1))
+    report.scan("trilinear.comm-comm-adjoint", {"L": L}, skew,
+                lambda t: commutator(adjs[t[0]], inner_ss[(t[1], t[2])]).equals(zero),
+                lambda t: "[a_%d*, [a_%d*, a_%d*]] != 0" % (t[0] + 1, t[1] + 1, t[2] + 1))
 
-    run("trilinear.number-action-adjoint", full,
-        lambda t: commutator(adjs[t[0]], inner_as[(t[1], t[2])]).equals(
-            adjs[t[2]].scale(2) if t[0] == t[1] else zero),
-        lambda t: "[a_%d*, [a_%d, a_%d*]] wrong" % (t[0] + 1, t[1] + 1, t[2] + 1))
+    report.scan("trilinear.number-action-adjoint", {"L": L}, full,
+                lambda t: commutator(adjs[t[0]], inner_as[(t[1], t[2])]).equals(
+                    adjs[t[2]].scale(2) if t[0] == t[1] else zero),
+                lambda t: "[a_%d*, [a_%d, a_%d*]] wrong" % (t[0] + 1, t[1] + 1, t[2] + 1))
 
     def jacobi_rhs(l, m, n):
         out = Element.zero(d)
@@ -501,15 +461,14 @@ def verify_trilinear(source, L: int, jobs: int = 1) -> Report:
             out = out - adjs[m].scale(2)
         return out
 
-    run("trilinear.jacobi-mixed", skew,
-        lambda t: commutator(gens[t[0]], inner_ss[(t[1], t[2])]).equals(
-            jacobi_rhs(t[0], t[1], t[2])),
-        lambda t: "[a_%d, [a_%d*, a_%d*]] wrong" % (t[0] + 1, t[1] + 1, t[2] + 1))
+    report.scan("trilinear.jacobi-mixed", {"L": L}, skew,
+                lambda t: commutator(gens[t[0]], inner_ss[(t[1], t[2])]).equals(
+                    jacobi_rhs(t[0], t[1], t[2])),
+                lambda t: "[a_%d, [a_%d*, a_%d*]] wrong" % (t[0] + 1, t[1] + 1, t[2] + 1))
     return report
 
 
-def verify_spectrum_polynomial(source, L: int, p: Optional[int] = None,
-                               jobs: int = 1) -> Report:
+def verify_spectrum_polynomial(source, L: int, p: Optional[int] = None) -> Report:
     """prod_{k=0..p} (N_n + (k - p/2) I) = 0 with N_n = [a_n*, a_n] / 2."""
     if p is None:
         p = source.p
@@ -526,15 +485,12 @@ def verify_spectrum_polynomial(source, L: int, p: Optional[int] = None,
             product = product * (number + unit.scale(Fraction(k) - Fraction(p, 2)))
         return product.equals(Element.zero(a.d))
 
-    bad = sweep_first_failure(ok, range(1, L + 1), jobs=jobs)
-    report.add("spectrum.polynomial", {"L": L, "p": p}, bad is None,
-               witness=None if bad is None else
-               f"degree-{p + 1} polynomial of N_{bad} does not vanish")
+    report.scan("spectrum.polynomial", {"L": L, "p": p}, range(1, L + 1), ok,
+                lambda n: f"degree-{p + 1} polynomial of N_{n} does not vanish")
     return report
 
 
-def verify_parafermion_vacuum(source, L: int, p: Optional[int] = None,
-                              jobs: int = 1) -> Report:
+def verify_parafermion_vacuum(source, L: int, p: Optional[int] = None) -> Report:
     """In the standard representation: a_n e_1 = 0 and a_m a_n* e_1 = p delta e_1."""
     if p is None:
         p = source.p
@@ -559,20 +515,18 @@ def verify_parafermion_vacuum(source, L: int, p: Optional[int] = None,
         return image == expected
 
     pairs = [(m, n) for m in range(L) for n in range(L)]
-    bad = sweep_first_failure(pair_ok, pairs, jobs=jobs)
-    report.add("pf-vacuum.eigenvalue", {"L": L, "p": p}, bad is None,
-               witness=None if bad is None else
-               "a_%d a_%d* e_1 = %s" % (bad[0] + 1, bad[1] + 1,
-                                        rep_apply(gens[bad[0]] * gens[bad[1]].adjoint(),
-                                                  vacuum)))
+    report.scan("pf-vacuum.eigenvalue", {"L": L, "p": p}, pairs, pair_ok,
+                lambda pair: "a_%d a_%d* e_1 = %s" % (
+                    pair[0] + 1, pair[1] + 1,
+                    rep_apply(gens[pair[0]] * gens[pair[1]].adjoint(), vacuum)))
     return report
 
 
-def verify_parafermion(g: GreenSystem, L: int, jobs: int = 1) -> Report:
+def verify_parafermion(g: GreenSystem, L: int) -> Report:
     """Trilinear + spectrum + vacuum, the full parastatistics battery."""
-    report = verify_trilinear(g, L, jobs=jobs)
-    report.extend(verify_spectrum_polynomial(g, L, jobs=jobs))
-    report.extend(verify_parafermion_vacuum(g, L, jobs=jobs))
+    report = verify_trilinear(g, L)
+    report.extend(verify_spectrum_polynomial(g, L))
+    report.extend(verify_parafermion_vacuum(g, L))
     return report
 
 
@@ -593,8 +547,7 @@ def klein_factor(family, modes: Sequence[int]) -> Element:
     return out
 
 
-def verify_klein_identities(L: int = 3, depth: int = config.DEFAULT_SWEEP_DEPTH,
-                            jobs: int = 1) -> Report:
+def verify_klein_identities(L: int = 3, depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report:
     """Relate the order-2 parafermion system to the 2-seed fermion system.
 
     Checks, with A_n the fermion generators and K(S) the parity product
@@ -636,11 +589,9 @@ def verify_klein_identities(L: int = 3, depth: int = config.DEFAULT_SWEEP_DEPTH,
             return lhs.equals(rhs)
 
         candidates = [(n, idx) for n in range(1, L + 1) for idx in range(len(monomials))]
-        bad = sweep_first_failure(twisted_ok, candidates, jobs=jobs)
-        report.add(f"klein.map{component}", {"L": L, "depth": depth}, bad is None,
-                   witness=None if bad is None else
-                   "z_%d^%d(%s) != parity twist" % (component, bad[0] - 1,
-                                                    monomials[bad[1]]))
+        report.scan(f"klein.map{component}", {"L": L, "depth": depth}, candidates, twisted_ok,
+                    lambda item: "z_%d^%d(%s) != parity twist" % (
+                        component, item[0] - 1, monomials[item[1]]))
 
     def green1_ok(n):
         lhs = para.green_component(1, n)
@@ -650,16 +601,14 @@ def verify_klein_identities(L: int = 3, depth: int = config.DEFAULT_SWEEP_DEPTH,
             rhs = klein_factor(fermi, [2 * k for k in range(1, n)]) * fermi.generator(2 * n - 1)
         return lhs.equals(rhs)
 
-    bad = sweep_first_failure(green1_ok, range(1, L + 1), jobs=jobs)
-    report.add("klein.green1", {"L": L}, bad is None,
-               witness=None if bad is None else f"component 1 generator {bad} mismatch")
+    report.scan("klein.green1", {"L": L}, range(1, L + 1), green1_ok,
+                lambda n: f"component 1 generator {n} mismatch")
 
     def green2_ok(n):
         lhs = para.green_component(2, n)
         rhs = klein_factor(fermi, [2 * k - 1 for k in range(1, n + 1)]) * fermi.generator(2 * n)
         return lhs.equals(rhs)
 
-    bad = sweep_first_failure(green2_ok, range(1, L + 1), jobs=jobs)
-    report.add("klein.green2", {"L": L}, bad is None,
-               witness=None if bad is None else f"component 2 generator {bad} mismatch")
+    report.scan("klein.green2", {"L": L}, range(1, L + 1), green2_ok,
+                lambda n: f"component 2 generator {n} mismatch")
     return report

@@ -8,7 +8,6 @@ found no witness; it is not a pass.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -47,6 +46,21 @@ class Report:
         self.results.append(result)
         return result
 
+    def scan(self, check: str, params: dict, candidates: Iterable, predicate: Callable,
+             render: Callable[..., str]):
+        """Add one line for a family of sub-checks; return its first failure.
+
+        The candidates are scanned in order.  The line passes when every
+        candidate satisfies ``predicate``; otherwise it fails with
+        ``render(bad)`` as the witness, ``bad`` being the first failing
+        candidate, which is returned (None on a pass).  The scan goes
+        through the module-level ``sweep_first_failure``, so a wrapper bound
+        to that name (``perfbench/trace.py``) sees every sweep.
+        """
+        bad = sweep_first_failure(predicate, candidates)
+        self.add(check, params, bad is None, witness=None if bad is None else render(bad))
+        return bad
+
     def extend(self, other: "Report") -> "Report":
         self.results.extend(other.results)
         return self
@@ -84,25 +98,12 @@ class Report:
         return len(self.results)
 
 
-def sweep_first_failure(predicate: Callable, items: Iterable, jobs: int = 1,
-                        chunk: int = 256):
+def sweep_first_failure(predicate: Callable, items: Iterable):
     """First item failing ``predicate`` (None if all pass), scanning in order.
 
-    ``predicate`` returns True on success.  With jobs > 1 the scan works
-    through fixed chunks so the reported witness is identical to the
-    sequential one.
+    ``predicate`` returns True on success.
     """
-    if jobs <= 1:
-        for item in items:
-            if not predicate(item):
-                return item
-        return None
-    buffer: list = []
-    items = list(items)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for start in range(0, len(items), chunk):
-            block = items[start:start + chunk]
-            for item, ok in zip(block, pool.map(predicate, block)):
-                if not ok:
-                    return item
+    for item in items:
+        if not predicate(item):
+            return item
     return None

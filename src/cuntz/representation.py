@@ -293,7 +293,7 @@ def fock_build(family, modes: Iterable[int]) -> StateVector:
     return v
 
 
-def verify_vacuum(family, n_max: int, jobs: int = 1) -> Report:
+def verify_vacuum(family, n_max: int) -> Report:
     """Check that e_1 is annihilated by generators 1..n_max."""
     report = Report()
     vacuum = StateVector.unit(1)

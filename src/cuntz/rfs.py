@@ -44,7 +44,7 @@ from .errors import (
     ResourceLimitError,
     SystemValidationError,
 )
-from .reports import INCONCLUSIVE, Report, sweep_first_failure
+from .reports import INCONCLUSIVE, Report
 
 
 @dataclass(frozen=True)
@@ -120,11 +120,12 @@ def zeta_power(z: RecursiveMap, n: int, x: Element) -> Element:
     return z.power(n, x)
 
 
-def _matrix_square(matrix: dict, d: int) -> dict:
+def _matrix_product(left: dict, right: dict, d: int) -> dict:
+    """Product of two sandwich sign matrices, as sparse ``(row, column)`` dicts."""
     out: dict[tuple[int, int], int] = {}
-    for (u, v), a in matrix.items():
+    for (u, v), a in left.items():
         for w in range(1, d + 1):
-            b = matrix.get((v, w), 0)
+            b = right.get((v, w), 0)
             if not b:
                 continue
             total = out.get((u, w), 0) + a * b
@@ -143,7 +144,8 @@ def normalization_matrix_holds(z: RecursiveMap) -> bool:
     identity matrix is exactly the canonical endomorphism's sandwich form.
     Valid as an iff whenever the declared phi equals rho on images.
     """
-    square = _matrix_square(z.sandwich_matrix(), z.d)
+    matrix = z.sandwich_matrix()
+    square = _matrix_product(matrix, matrix, z.d)
     return square == {(i, i): 1 for i in range(1, z.d + 1)}
 
 
@@ -378,15 +380,7 @@ def standard_rfs_p(p: int, p_max: Optional[int] = None, validate: bool = True) -
 # -- verification ------------------------------------------------------------
 
 
-def _scan(report: Report, check: str, params: dict, candidates, predicate, render,
-          jobs: int = 1):
-    """Add one summary line for a family of sub-checks, with first witness."""
-    bad = sweep_first_failure(predicate, candidates, jobs=jobs)
-    report.add(check, params, bad is None, witness=None if bad is None else render(bad))
-    return bad is None
-
-
-def verify_seed_condition(sys, jobs: int = 1) -> Report:
+def verify_seed_condition(sys) -> Report:
     """Exact check of the seed conditions, reported per relation family."""
     report = Report()
     seeds = sys.seeds
@@ -395,8 +389,8 @@ def verify_seed_condition(sys, jobs: int = 1) -> Report:
     def square_ok(i):
         return (seeds[i] * seeds[i]).equals(Element.zero(sys.d))
 
-    _scan(report, "seed.square", {"seeds": p}, range(p), square_ok,
-          lambda i: f"a_{i + 1}^2 = {(seeds[i] * seeds[i]).normal_form()}", jobs)
+    report.scan("seed.square", {"seeds": p}, range(p), square_ok,
+                lambda i: f"a_{i + 1}^2 = {(seeds[i] * seeds[i]).normal_form()}")
 
     pairs = [(i, j) for i in range(p) for j in range(i, p)]
 
@@ -404,10 +398,10 @@ def verify_seed_condition(sys, jobs: int = 1) -> Report:
         i, j = pair
         return anticommutator(seeds[i], seeds[j]).equals(Element.zero(sys.d))
 
-    _scan(report, "seed.anticommute", {"pairs": len(pairs)}, pairs, anti_ok,
-          lambda pr: "{a_%d, a_%d} = %s" % (
-              pr[0] + 1, pr[1] + 1,
-              anticommutator(seeds[pr[0]], seeds[pr[1]]).normal_form()), jobs)
+    report.scan("seed.anticommute", {"pairs": len(pairs)}, pairs, anti_ok,
+                lambda pr: "{a_%d, a_%d} = %s" % (
+                    pr[0] + 1, pr[1] + 1,
+                    anticommutator(seeds[pr[0]], seeds[pr[1]]).normal_form()))
 
     unit = identity(sys.d)
 
@@ -417,15 +411,14 @@ def verify_seed_condition(sys, jobs: int = 1) -> Report:
         rhs = unit if i == j else Element.zero(sys.d)
         return lhs.equals(rhs)
 
-    _scan(report, "seed.mixed", {"pairs": len(pairs)}, pairs, mixed_ok,
-          lambda pr: "{a_%d, a_%d*} = %s" % (
-              pr[0] + 1, pr[1] + 1,
-              anticommutator(seeds[pr[0]], seeds[pr[1]].adjoint()).normal_form()), jobs)
+    report.scan("seed.mixed", {"pairs": len(pairs)}, pairs, mixed_ok,
+                lambda pr: "{a_%d, a_%d*} = %s" % (
+                    pr[0] + 1, pr[1] + 1,
+                    anticommutator(seeds[pr[0]], seeds[pr[1]].adjoint()).normal_form()))
     return report
 
 
-def verify_recursive_condition(sys, depth: int = config.DEFAULT_SWEEP_DEPTH,
-                               jobs: int = 1) -> Report:
+def verify_recursive_condition(sys, depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report:
     """Formal certificate plus sampled sweep for the recursive condition."""
     report = Report()
     d = sys.d
@@ -438,17 +431,14 @@ def verify_recursive_condition(sys, depth: int = config.DEFAULT_SWEEP_DEPTH,
         cert_ok, cert_witness = anticommute_certificate(seed, sys.zeta)
         report.add("recursive.certificate", {"seed": i}, cert_ok, witness=cert_witness)
 
-        def sampled_ok(idx, _seed=seed):
-            return anticommutator(_seed, images[idx]).equals(zero)
+        def sampled_ok(idx):
+            return anticommutator(seed, images[idx]).equals(zero)
 
-        bad = sweep_first_failure(sampled_ok, range(len(monomials)), jobs=jobs)
-        report.add(
+        bad = report.scan(
             "recursive.sampled", {"seed": i, "depth": depth, "monomials": len(monomials)},
-            bad is None,
-            witness=None if bad is None else
-            "{a_%d, z(%s)} = %s" % (
-                i, monomials[bad], anticommutator(seed, images[bad]).normal_form()),
-        )
+            range(len(monomials)), sampled_ok,
+            lambda idx: "{a_%d, z(%s)} = %s" % (
+                i, monomials[idx], anticommutator(seed, images[idx]).normal_form()))
         if cert_ok:
             status = None
             ok = bad is None  # certificate is sound, but report a sweep conflict
@@ -465,15 +455,13 @@ def verify_recursive_condition(sys, depth: int = config.DEFAULT_SWEEP_DEPTH,
     def adjoint_ok(idx):
         return images[idx].adjoint().equals(sys.zeta.apply(elements[idx].adjoint()))
 
-    bad = sweep_first_failure(adjoint_ok, range(len(monomials)), jobs=jobs)
-    report.add("recursive.adjoint-sampled", {"depth": depth, "monomials": len(monomials)},
-               bad is None,
-               witness=None if bad is None else f"z({monomials[bad]})* != z(({monomials[bad]})*)")
+    report.scan("recursive.adjoint-sampled", {"depth": depth, "monomials": len(monomials)},
+                range(len(monomials)), adjoint_ok,
+                lambda idx: f"z({monomials[idx]})* != z(({monomials[idx]})*)")
     return report
 
 
-def verify_normalization(sys, depth: int = config.DEFAULT_SWEEP_DEPTH,
-                         jobs: int = 1) -> Report:
+def verify_normalization(sys, depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report:
     """Matrix certificate (when phi is canonical) plus the pair sweep."""
     report = Report()
     d = sys.d
@@ -496,15 +484,13 @@ def verify_normalization(sys, depth: int = config.DEFAULT_SWEEP_DEPTH,
         ix, iy = pair
         return (images[ix] * images[iy]).equals(sys.phi.apply(elements[ix] * elements[iy]))
 
-    bad = sweep_first_failure(pair_ok, pairs, jobs=jobs)
-    report.add("normalization.sampled", {"depth": depth, "pairs": len(pairs)},
-               bad is None,
-               witness=None if bad is None else
-               "z(%s) z(%s) != phi(product)" % (monomials[bad[0]], monomials[bad[1]]))
+    report.scan("normalization.sampled", {"depth": depth, "pairs": len(pairs)}, pairs, pair_ok,
+                lambda pair: "z(%s) z(%s) != phi(product)" % (
+                    monomials[pair[0]], monomials[pair[1]]))
     return report
 
 
-def verify_car(family, n_max: int, jobs: int = 1) -> Report:
+def verify_car(family, n_max: int) -> Report:
     """Anticommutation relations for generators 1..n_max of a family."""
     report = Report()
     d = family.d
@@ -518,20 +504,20 @@ def verify_car(family, n_max: int, jobs: int = 1) -> Report:
         m, n = pair
         return anticommutator(gens[m], gens[n]).equals(zero)
 
-    _scan(report, "car.anticommute", {"N": n_max, "pairs": len(pairs)}, pairs, anti_ok,
-          lambda pr: "{A_%d, A_%d} = %s" % (
-              pr[0] + 1, pr[1] + 1,
-              anticommutator(gens[pr[0]], gens[pr[1]]).normal_form()), jobs)
+    report.scan("car.anticommute", {"N": n_max, "pairs": len(pairs)}, pairs, anti_ok,
+                lambda pr: "{A_%d, A_%d} = %s" % (
+                    pr[0] + 1, pr[1] + 1,
+                    anticommutator(gens[pr[0]], gens[pr[1]]).normal_form()))
 
     def mixed_ok(pair):
         m, n = pair
         rhs = unit if m == n else zero
         return anticommutator(gens[m], adjs[n]).equals(rhs)
 
-    _scan(report, "car.mixed", {"N": n_max, "pairs": len(pairs)}, pairs, mixed_ok,
-          lambda pr: "{A_%d, A_%d*} = %s" % (
-              pr[0] + 1, pr[1] + 1,
-              anticommutator(gens[pr[0]], adjs[pr[1]]).normal_form()), jobs)
+    report.scan("car.mixed", {"N": n_max, "pairs": len(pairs)}, pairs, mixed_ok,
+                lambda pr: "{A_%d, A_%d*} = %s" % (
+                    pr[0] + 1, pr[1] + 1,
+                    anticommutator(gens[pr[0]], adjs[pr[1]]).normal_form()))
     return report
 
 
@@ -572,12 +558,12 @@ def validate_system(sys) -> Report:
 
 
 def verify_all(sys, depth: int = config.DEFAULT_SWEEP_DEPTH,
-               car_range: Optional[int] = None, jobs: int = 1) -> Report:
-    report = verify_seed_condition(sys, jobs=jobs)
-    report.extend(verify_recursive_condition(sys, depth=depth, jobs=jobs))
-    report.extend(verify_normalization(sys, depth=depth, jobs=jobs))
+               car_range: Optional[int] = None) -> Report:
+    report = verify_seed_condition(sys)
+    report.extend(verify_recursive_condition(sys, depth=depth))
+    report.extend(verify_normalization(sys, depth=depth))
     n_max = car_range if car_range is not None else config.default_car_range(sys.p)
-    report.extend(verify_car(sys, n_max, jobs=jobs))
+    report.extend(verify_car(sys, n_max))
     return report
 
 

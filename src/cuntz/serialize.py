@@ -86,9 +86,14 @@ def vector_from_dict(obj) -> StateVector:
     for entry in raw_terms:
         _expect(isinstance(entry, dict), "each term must be an object")
         raw_index = entry.get("index")
-        _expect(isinstance(raw_index, str) and raw_index.isdigit(),
+        _expect(isinstance(raw_index, str) and raw_index.isascii() and raw_index.isdigit(),
                 f"'index' must be a decimal string, got {raw_index!r}")
-        amps.append((int(raw_index), _coeff_in(entry.get("coeff"))))
+        try:
+            index = int(raw_index)
+        except ValueError as exc:  # more digits than the interpreter converts
+            raise SchemaError(f"'index' has {len(raw_index)} digits, more than this "
+                              "interpreter converts to an integer") from exc
+        amps.append((index, _coeff_in(entry.get("coeff"))))
     try:
         return StateVector(amps)
     except CuntzError as exc:

@@ -78,12 +78,11 @@ class TestVerify:
         failed = [line for line in lines if not line["pass"]]
         assert failed and any("witness" in line for line in failed)
 
-    def test_json_report_deterministic_across_jobs(self, capsys):
-        _, out1, _ = run(capsys, "verify", "--system", "std-rfs-p:2", "--suite", "all",
-                         "--depth", "1", "--N", "4", "--format", "json")
-        _, out2, _ = run(capsys, "verify", "--system", "std-rfs-p:2", "--suite", "all",
-                         "--depth", "1", "--N", "4", "--format", "json", "--jobs", "4")
-        assert out1 == out2
+    def test_jobs_option_is_rejected(self, capsys):
+        code, _, err = run(capsys, "verify", "--system", "std-o2", "--suite", "seed",
+                           "--jobs", "2")
+        assert code == 2
+        assert "--jobs" in err
 
     def test_unknown_suite_for_kind(self, capsys):
         code, _, err = run(capsys, "verify", "--system", "std-rpfs:2", "--suite", "car")
@@ -166,6 +165,17 @@ class TestApply:
         code, _, err = run(capsys, "apply", "--element", str(bad), "--vector", str(bad))
         assert code == 2
         assert "JSON" in err
+
+    @pytest.mark.parametrize("index", ["7" * 5000, "\u00b2"], ids=["5000-digits", "superscript"])
+    def test_malformed_vector_index_exits_2(self, capsys, files, tmp_path, index):
+        element_file, _ = files
+        vector = tmp_path / "v.json"
+        vector.write_text(json.dumps({"terms": [{"index": index, "coeff": "1"}]}))
+        code, _, err = run(capsys, "apply", "--element", element_file(Element.word(2, (1,), ())),
+                           "--vector", str(vector))
+        assert code == 2
+        assert "'index'" in err
+        assert "Traceback" not in err
 
 
 class TestNormalFormAndEndo:

@@ -3,9 +3,10 @@
 Each file in ``tests/golden`` is the exact standard output of one run.  The
 verify files were recorded before the canonical endomorphism was applied in
 sandwich form; the fock and vacuum files before generators acted on Fock
-vectors in sandwich form.  Performance refactors must reproduce them byte
-for byte, exit code included.  A deliberate change of output rewrites the
-file with the command's output.
+vectors in sandwich form; the std-rpfs:3 parafermion and flipped Green
+files before every sweep went through ``Report.scan``.  Refactors must
+reproduce them byte for byte, exit code included.  A deliberate change of
+output rewrites the file with the command's output.
 """
 
 import json
@@ -35,6 +36,25 @@ SWAPPED_SEED = {
     "phi": "rho",
 }
 
+# std-rpfs:2 with the second map's second sign flipped to -1: component 2's
+# recursive condition, the cross conditions, the Green relations and the
+# trilinear relations fail with witnesses.
+FLIPPED_GREEN = {
+    "kind": "rpfs", "p": 2, "d": 4,
+    "triads": [
+        {"seed": {"d": 4, "terms": [{"coeff": "1", "create": [1], "annihilate": [2]},
+                                    {"coeff": "1", "create": [3], "annihilate": [4]}]},
+         "zeta": [{"sign": 1, "left": 1, "right": 1}, {"sign": -1, "left": 2, "right": 2},
+                  {"sign": 1, "left": 3, "right": 3}, {"sign": -1, "left": 4, "right": 4}],
+         "phi": "rho"},
+        {"seed": {"d": 4, "terms": [{"coeff": "1", "create": [1], "annihilate": [3]},
+                                    {"coeff": "1", "create": [2], "annihilate": [4]}]},
+         "zeta": [{"sign": 1, "left": 1, "right": 1}, {"sign": -1, "left": 2, "right": 2},
+                  {"sign": -1, "left": 3, "right": 3}, {"sign": -1, "left": 4, "right": 4}],
+         "phi": "rho"},
+    ],
+}
+
 # golden file stem -> (arguments, exit code).  Arguments that start with an
 # option are verify arguments run with ``--format json``; otherwise the first
 # argument names the command and the list is run as given.  A ``None`` system
@@ -54,6 +74,9 @@ CASES = {
                                 "--N", "4"], 1),
     "swapped-seed-fock-1-3": (["fock", "--system", SWAPPED_SEED, "--modes", "1,3",
                                "--format", "json"], 1),
+    "std-rpfs3-parafermion-L3": (["--system", "std-rpfs:3", "--suite", "parafermion",
+                                  "--L", "3"], 0),
+    "flipped-green-all-L3": (["--system", FLIPPED_GREEN, "--suite", "all", "--L", "3"], 1),
 }
 
 

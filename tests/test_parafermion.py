@@ -7,8 +7,10 @@ import pytest
 from cuntz import (
     Element,
     GeneratorFamily,
+    GreenSystem,
     IndexRangeError,
     Monomial,
+    RecursiveMap,
     StateVector,
     anticommutator,
     commutator,
@@ -56,6 +58,17 @@ class TestStandardRpfs2:
         assert verify_green_recursive(rpfs2, depth=1).ok
         assert verify_green_normalization(rpfs2, depth=1).ok
         assert verify_cross_commutation(rpfs2, depth=1).ok
+
+    def test_non_commuting_maps_fail_cross_commutation(self, rpfs2):
+        # Both maps square to I, but their sign matrices do not commute.
+        skew = RecursiveMap(4, ((1, 1, 1), (1, 1, 2), (-1, 2, 2), (1, 3, 3), (-1, 4, 4)))
+        system = GreenSystem(rpfs2.seeds, [rpfs2.zetas[0], skew], rpfs2.phis,
+                             validate=False)
+        report = verify_cross_commutation(system, depth=1)
+        assert {r.check: r.witness for r in report.failures()} == {
+            "cross-commutation.certificate": "sign matrices of maps 1 and 2 do not commute",
+            "cross-commutation.sampled": "[z_1(I), z_2(I)] != 0",
+        }
 
 
 class TestStandardRpfsP:
@@ -164,6 +177,10 @@ class TestSpectrum:
         report = verify_spectrum_polynomial(std_o2, 2, p=2)
         assert not report.ok
 
+    def test_wrong_order_witness(self, rpfs2):
+        report = verify_spectrum_polynomial(rpfs2, 3, p=1)
+        assert report.first_failure().witness == "degree-2 polynomial of N_1 does not vanish"
+
 
 class TestParafermionVacuum:
     def test_eigenvalue_two(self, rpfs2):
@@ -182,6 +199,11 @@ class TestParafermionVacuum:
 
     def test_suite(self, rpfs2):
         assert verify_parafermion_vacuum(rpfs2, 4).ok
+
+    def test_wrong_order_witness(self, rpfs2):
+        report = verify_parafermion_vacuum(rpfs2, 3, p=1)
+        assert [r.check for r in report.failures()] == ["pf-vacuum.eigenvalue"]
+        assert report.first_failure().witness == "a_1 a_1* e_1 = 2 e_1"
 
 
 class TestGreenRelationsHigherOrder:
@@ -256,6 +278,21 @@ class TestKleinIdentities:
     def test_suite_passes(self):
         report = verify_klein_identities(3, depth=2)
         assert report.ok
+
+    def test_untwisted_witnesses(self, monkeypatch):
+        # With every parity factor replaced by I, each twisted identity fails
+        # at its first candidate in scan order.
+        monkeypatch.setattr("cuntz.parafermion.klein_factor",
+                            lambda family, modes: identity(family.d))
+        report = verify_klein_identities(3, depth=1)
+        witnesses = {r.check: r.witness for r in report.failures()}
+        assert witnesses == {
+            "klein.seed2": "a^(2) != (I - 2 a_1* a_1) a_2: s1 s3* - s2 s4*",
+            "klein.map1": "z_1^1(I) != parity twist",
+            "klein.map2": "z_2^1(I) != parity twist",
+            "klein.green1": "component 1 generator 2 mismatch",
+            "klein.green2": "component 2 generator 1 mismatch",
+        }
 
     def test_seed_relations_explicitly(self, rfs2, rpfs2):
         assert rpfs2.seeds[0].normal_form() == rfs2.seeds[0].normal_form()

@@ -1,4 +1,4 @@
-"""Report plumbing: statuses, JSON lines, deterministic parallel scans."""
+"""Report plumbing: statuses, JSON lines, first-failure scans."""
 
 import json
 
@@ -49,9 +49,41 @@ def test_extend_merges_in_order():
 def test_sweep_first_failure_matches_sequential():
     items = list(range(1000))
     predicate = lambda x: x % 419 != 0 or x == 0
-    assert sweep_first_failure(predicate, items, jobs=1) == 419
-    assert sweep_first_failure(predicate, items, jobs=4) == 419
-    assert sweep_first_failure(lambda x: True, items, jobs=4) is None
+    assert sweep_first_failure(predicate, items) == 419
+    assert sweep_first_failure(lambda x: True, items) is None
+
+
+def _never_rendered(item):
+    raise AssertionError(f"render called on a pass: {item!r}")
+
+
+def test_scan_pass_line_has_no_witness():
+    report = Report()
+    bad = report.scan("zeta", {"N": 3}, range(3), lambda x: True, _never_rendered)
+    assert bad is None
+    assert report.results == [CheckResult("zeta", {"N": 3}, "pass")]
+
+
+def test_scan_fail_line_renders_first_failure_in_order():
+    report = Report()
+    rendered = []
+
+    def render(item):
+        rendered.append(item)
+        return f"bad {item}"
+
+    bad = report.scan("eta", {}, [5, 8, 3, 6, 9], lambda x: x % 3 != 0, render)
+    assert bad == 3
+    assert rendered == [3]
+    assert report.results == [CheckResult("eta", {}, "fail", "bad 3")]
+
+
+def test_scan_accepts_a_one_shot_iterator():
+    report = Report()
+    bad = report.scan("theta", {}, iter([(0, 1), (1, 1)]), lambda t: t[0] != t[1],
+                      lambda t: "%d = %d" % t)
+    assert bad == (1, 1)
+    assert report.first_failure().witness == "1 = 1"
 
 
 def test_check_result_passed():

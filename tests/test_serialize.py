@@ -66,6 +66,14 @@ class TestVectorSchema:
         with pytest.raises(SchemaError):
             vector_from_dict({"terms": [{"index": 3, "coeff": "1"}]})
 
+    def test_rejects_index_beyond_conversion_limit(self):
+        with pytest.raises(SchemaError, match="5000 digits"):
+            vector_from_dict({"terms": [{"index": "7" * 5000, "coeff": "1"}]})
+
+    def test_rejects_non_ascii_digits(self):
+        with pytest.raises(SchemaError, match="decimal string"):
+            vector_from_dict({"terms": [{"index": "\u00b2", "coeff": "1"}]})
+
 
 class TestSystemSchema:
     def test_rfs_round_trip(self, rfs2):
