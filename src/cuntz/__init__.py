@@ -13,9 +13,6 @@ from .algebra import (
     adjoint,
     anticommutator,
     commutator,
-    element_add,
-    element_mul,
-    element_scale,
     element_to_text,
     equals,
     grade_decompose,

@@ -21,9 +21,15 @@ Orientation convention: a :class:`Monomial` stores the creation word
 ``(a1..am)`` and the annihilation word ``(b1..bn)``, where the operator
 meaning of the annihilation word is ``(s_{b1}..s_{bn})* = s_{bn}*..s_{b1}*``.
 
-Coefficients are :class:`fractions.Fraction`; every construction in scope
-has rational (indeed half-integer) coefficients, so floating point never
-enters and equality checks are exact.
+Coefficients (the values of ``Element.terms``) are exact rationals of type
+``Scalar = int | Fraction``: the constructors and ``scale`` store an integral
+coefficient as an ``int`` and any other as a :class:`fractions.Fraction`.
+The constructions in scope have coefficients +-1, so their products and sums
+run in ``int`` arithmetic; a ``Fraction`` appears only where a division
+makes one (a scale by 1/2, a pivot in ``span_rank``).  Mixed arithmetic
+stays exact, and an integral ``Fraction`` it leaves behind compares, hashes
+and prints like the ``int``.  Floating point never enters:
+:func:`exact_scalar` refuses float and complex coefficients.
 """
 
 from __future__ import annotations
@@ -71,8 +77,22 @@ class Monomial(NamedTuple):
 
 IDENTITY_WORD = Monomial((), ())
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def exact_scalar(c) -> Scalar:
+    """A coefficient in stored form: an ``int`` when integral, else a ``Fraction``.
+
+    Accepts anything ``Fraction`` accepts exactly (ints, rationals, 'p/q'
+    strings); a float or complex value raises TypeError, since its binary
+    expansion would enter exact arithmetic as a spurious rational.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, (float, complex)):
+        raise TypeError(
+            f"coefficient {c!r} is a {type(c).__name__}; use an int, a Fraction or a 'p/q' string"
+        )
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _check_d(d) -> int:
@@ -128,12 +148,12 @@ class Element:
 
     def __init__(self, d: int, terms=None):
         _check_d(d)
-        clean: dict[Monomial, Fraction] = {}
+        clean: dict[Monomial, Scalar] = {}
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for m, c in items:
                 m = Monomial(_check_word(m[0], d), _check_word(m[1], d))
-                c = Fraction(c)
+                c = exact_scalar(c)
                 if not c:
                     continue
                 acc = clean.get(m)
@@ -169,7 +189,7 @@ class Element:
     # -- inspection --------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Monomial, Fraction]:
+    def terms(self) -> dict[Monomial, Scalar]:
         """The term map (read-only by convention)."""
         return self._terms
 
@@ -183,14 +203,14 @@ class Element:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[tuple[Monomial, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Monomial, Scalar]]:
         return iter(self.sorted_terms())
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
         return sorted(self._terms.items(), key=lambda kv: term_sort_key(kv[0]))
 
-    def coefficient(self, create, annihilate) -> Fraction:
-        return self._terms.get(Monomial(tuple(create), tuple(annihilate)), _ZERO)
+    def coefficient(self, create, annihilate) -> Scalar:
+        return self._terms.get(Monomial(tuple(create), tuple(annihilate)), 0)
 
     # -- ring operations ---------------------------------------------------
 
@@ -221,10 +241,10 @@ class Element:
         return self + (-other)
 
     def scale(self, k: Scalar) -> "Element":
-        k = Fraction(k)
+        k = exact_scalar(k)
         if not k:
             return Element._make(self.d, {})
-        return Element._make(self.d, {m: c * k for m, c in self._terms.items()})
+        return Element._make(self.d, {m: exact_scalar(c * k) for m, c in self._terms.items()})
 
     def __mul__(self, other) -> "Element":
         """Product in O_d; a scalar operand scales.
@@ -244,7 +264,7 @@ class Element:
             return NotImplemented
         self._require_same_d(other)
         xt, yt = self._terms, other._terms
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         get = out.get
         if len(xt) == 1 or len(yt) == 1:
             # One operand is a single word: scanning the other side is
@@ -333,10 +353,10 @@ class Element:
         is raised before any word is formed.
         """
         d = self.d
-        by_excess: dict[int, list[tuple[Monomial, Fraction]]] = {}
+        by_excess: dict[int, list[tuple[Monomial, Scalar]]] = {}
         for m, c in self._terms.items():
             by_excess.setdefault(m.excess, []).append((m, c))
-        pending: list[tuple[Monomial, Fraction, int]] = []
+        pending: list[tuple[Monomial, Scalar, int]] = []
         words = 0
         for grade_terms in by_excess.values():
             target = max(len(m.create) for m, _ in grade_terms)
@@ -348,7 +368,7 @@ class Element:
             cap = config.max_terms_cap()
             if words > cap:
                 raise ResourceLimitError(words, cap, operation="normal_form")
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         alphabet = range(1, d + 1)
         for m, c, gap in pending:
             if gap == 0:
@@ -403,19 +423,7 @@ class Element:
         return f"Element(d={self.d}, <{element_to_text(self)}>)"
 
 
-# -- functional aliases for the element operations ---------------------------
-
-
-def element_add(x: Element, y: Element) -> Element:
-    return x + y
-
-
-def element_scale(x: Element, k: Scalar) -> Element:
-    return x.scale(k)
-
-
-def element_mul(x: Element, y: Element) -> Element:
-    return x * y
+# -- functional forms of the element operations ------------------------------
 
 
 def adjoint(x: Element) -> Element:
@@ -443,18 +451,23 @@ def isometry(d: int, i: int) -> Element:
     return Element.word(d, (i,), ())
 
 
+def unit_words(d: int, monomials) -> list[Element]:
+    """One element 1 * m per word m; the words must already be valid for d."""
+    return [Element._make(d, {m: 1}) for m in monomials]
+
+
 def raise_monomial(x: Monomial, d: int) -> Element:
     """Rewrite a word via completeness: x = sum_i s_{A i} (s_{B i})^adj."""
     x = Monomial(_check_word(x[0], d), _check_word(x[1], d))
     return Element._make(
         d,
-        {Monomial(x.create + (i,), x.annihilate + (i,)): _ONE for i in range(1, d + 1)},
+        {Monomial(x.create + (i,), x.annihilate + (i,)): 1 for i in range(1, d + 1)},
     )
 
 
 def grade_decompose(x: Element) -> dict[int, Element]:
     """Split an element by gauge charge |create| - |annihilate|."""
-    parts: dict[int, dict[Monomial, Fraction]] = {}
+    parts: dict[int, dict[Monomial, Scalar]] = {}
     for m, c in x.terms.items():
         parts.setdefault(m.excess, {})[m] = c
     return {g: Element._make(x.d, t) for g, t in sorted(parts.items())}
@@ -544,9 +557,9 @@ def _tokenize(text: str):
 def parse_element(text: str, d: int) -> Element:
     """Parse the grammar emitted by :func:`element_to_text`."""
     _check_d(d)
-    terms: list[tuple[Monomial, Fraction]] = []
+    terms: list[tuple[Monomial, Scalar]] = []
     sign = 1
-    coeff: Optional[Fraction] = None
+    coeff: Optional[Scalar] = None
     create: list[int] = []
     annihilate_rev: list[int] = []
     in_term = False
@@ -556,7 +569,7 @@ def parse_element(text: str, d: int) -> Element:
         nonlocal sign, coeff, create, annihilate_rev, in_term
         if not in_term:
             raise ParseError("empty term")
-        c = coeff if coeff is not None else _ONE
+        c = coeff if coeff is not None else 1
         mono = Monomial(tuple(create), tuple(reversed(annihilate_rev)))
         terms.append((mono, sign * c))
         sign, coeff, create, annihilate_rev, in_term = 1, None, [], [], False
@@ -575,7 +588,10 @@ def parse_element(text: str, d: int) -> Element:
         elif kind in ("frac", "int"):
             if in_term or coeff is not None:
                 raise ParseError(f"unexpected number {tok!r}")
-            coeff = Fraction(tok)
+            try:
+                coeff = int(tok) if kind == "int" else exact_scalar(tok)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"bad coefficient {tok!r}: {exc}") from exc
             in_term = True  # a bare number stands for that multiple of I
         elif kind == "ident":
             if create or annihilate_rev:

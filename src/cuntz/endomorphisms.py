@@ -11,10 +11,9 @@ every term, and its generator images are derived only when read.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .algebra import Element, Monomial, identity, isometry
+from .algebra import Element, Monomial, Scalar, identity, isometry
 from .errors import AlphabetMismatchError, EndomorphismValidationError, IndexRangeError
 
 
@@ -82,7 +81,7 @@ class Endomorphism:
             raise AlphabetMismatchError(f"d mismatch: {x.d} vs {self.d}")
         if self._canonical:
             return Element._make(self.d, _sandwich_terms(x, keep_unit=True))
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         get = out.get
         for (create, annihilate), c in x.terms.items():
             img = self.image_of_word(create) * self.image_of_word(annihilate).adjoint()
@@ -128,7 +127,7 @@ def apply_endomorphism(e: Endomorphism, x: Element) -> Element:
     return e.apply(x)
 
 
-def _sandwich_terms(x: Element, keep_unit: bool) -> dict[Monomial, Fraction]:
+def _sandwich_terms(x: Element, keep_unit: bool) -> dict[Monomial, Scalar]:
     """Terms of sum_i s_i X s_i*: each word gains the letter i on both sides.
 
     Distinct words stay distinct, so nothing merges and no coefficient
@@ -136,7 +135,7 @@ def _sandwich_terms(x: Element, keep_unit: bool) -> dict[Monomial, Fraction]:
     (sum_i s_i s_i* = I), as a unital endomorphism's image of I.
     """
     alphabet = range(1, x.d + 1)
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Scalar] = {}
     for (create, annihilate), c in x.terms.items():
         if keep_unit and not create and not annihilate:
             out[Monomial(create, annihilate)] = c

@@ -29,6 +29,7 @@ from .algebra import (
     commutator,
     identity,
     iter_monomials,
+    unit_words,
 )
 from .endomorphisms import Endomorphism, is_rho, rho
 from .errors import (
@@ -203,7 +204,7 @@ def verify_green_recursive(g: GreenSystem,
     report = Report()
     zero = Element.zero(g.d)
     monomials = list(iter_monomials(g.d, depth))
-    elements = [Element._make(g.d, {m: Fraction(1)}) for m in monomials]
+    elements = unit_words(g.d, monomials)
     images = [[z.apply(el) for el in elements] for z in g.zetas]
 
     for a in range(g.p):
@@ -247,7 +248,7 @@ def verify_green_normalization(g: GreenSystem,
                                depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report:
     report = Report()
     monomials = list(iter_monomials(g.d, depth))
-    elements = [Element._make(g.d, {m: Fraction(1)}) for m in monomials]
+    elements = unit_words(g.d, monomials)
     n = len(monomials)
     for a in range(g.p):
         applicable = is_rho(g.phis[a])
@@ -298,7 +299,7 @@ def verify_cross_commutation(g: GreenSystem, depth: int = 1) -> Report:
                f"sign matrices of maps {bad_cert[0] + 1} and {bad_cert[1] + 1} do not commute")
 
     monomials = list(iter_monomials(g.d, depth))
-    elements = [Element._make(g.d, {m: Fraction(1)}) for m in monomials]
+    elements = unit_words(g.d, monomials)
     commuting = [(i, j) for i in range(len(monomials)) for j in range(len(monomials))
                  if commutator(elements[i], elements[j]).equals(zero)]
     candidates = [(a, b, i, j) for a, b in pairs_ab for i, j in commuting]
@@ -573,7 +574,7 @@ def verify_klein_identities(L: int = 3, depth: int = config.DEFAULT_SWEEP_DEPTH)
                f"a^(2) != (I - 2 a_1* a_1) a_2: {expected.normal_form()}")
 
     monomials = list(iter_monomials(d, depth))
-    elements = [Element._make(d, {m: Fraction(1)}) for m in monomials]
+    elements = unit_words(d, monomials)
 
     def map_modes(component: int, n: int) -> list[int]:
         if component == 1:

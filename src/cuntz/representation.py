@@ -8,7 +8,8 @@ products of embedded creation operators land on single basis vectors whose
 index encodes the occupied modes in binary.
 
 Basis indices grow like 2^(n-1), so they are plain Python integers
-(arbitrary precision); amplitudes are exact rationals.
+(arbitrary precision); amplitudes are exact rationals stored like element
+coefficients: an ``int`` when integral, else a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import config
-from .algebra import Element
+from .algebra import Element, Scalar, exact_scalar
 from .errors import IndexRangeError, ResourceLimitError
 from .reports import Report
 from .rfs import GeneratorFamily, RfsSystem
@@ -29,13 +30,13 @@ class StateVector:
     __slots__ = ("amps",)
 
     def __init__(self, amps=None):
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Scalar] = {}
         if amps:
             items = amps.items() if hasattr(amps, "items") else amps
             for n, c in items:
                 if not isinstance(n, int) or n < 1:
                     raise IndexRangeError(f"basis index must be a positive integer, got {n!r}")
-                c = Fraction(c)
+                c = exact_scalar(c)
                 if not c:
                     continue
                 acc = clean.get(n)
@@ -60,7 +61,7 @@ class StateVector:
     def unit(cls, n: int) -> "StateVector":
         if not isinstance(n, int) or n < 1:
             raise IndexRangeError(f"basis index must be a positive integer, got {n!r}")
-        return cls._make({n: Fraction(1)})
+        return cls._make({n: 1})
 
     @property
     def is_zero(self) -> bool:
@@ -72,7 +73,7 @@ class StateVector:
     def __len__(self) -> int:
         return len(self.amps)
 
-    def items(self) -> list[tuple[int, Fraction]]:
+    def items(self) -> list[tuple[int, Scalar]]:
         return sorted(self.amps.items())
 
     def __add__(self, other: "StateVector") -> "StateVector":
@@ -92,11 +93,11 @@ class StateVector:
     def __sub__(self, other: "StateVector") -> "StateVector":
         return self + (-other)
 
-    def scale(self, k) -> "StateVector":
-        k = Fraction(k)
+    def scale(self, k: Scalar) -> "StateVector":
+        k = exact_scalar(k)
         if not k:
             return StateVector._make({})
-        return StateVector._make({n: c * k for n, c in self.amps.items()})
+        return StateVector._make({n: exact_scalar(c * k) for n, c in self.amps.items()})
 
     def __rmul__(self, k) -> "StateVector":
         if isinstance(k, (int, Fraction)):
@@ -134,7 +135,7 @@ def apply_generator_adjoint(i: int, v: StateVector, d: int) -> StateVector:
     """s_i*: e_N -> e_m when N = d(m-1)+i, else the term is annihilated."""
     if not 1 <= i <= d:
         raise IndexRangeError(f"index {i} outside 1..{d}")
-    out: dict[int, Fraction] = {}
+    out: dict[int, Scalar] = {}
     for n, c in v.amps.items():
         q, r = divmod(n - i, d)
         if r or q < 0:
@@ -153,7 +154,7 @@ def rep_apply(x: Element, v: StateVector) -> StateVector:
     """Act by an element: per word, annihilation letters first (b1 innermost),
     then creation letters (am innermost), summed with coefficients."""
     d = x.d
-    total: dict[int, Fraction] = {}
+    total: dict[int, Scalar] = {}
     for m, coeff in x.terms.items():
         w = v
         for b in m.annihilate:
@@ -208,7 +209,7 @@ def rep_generator(family, n: int, v: StateVector, adjoint: bool = False) -> Stat
     if adjoint:
         seed = seed.adjoint()
     cap = config.max_terms_cap(family.max_terms)
-    total: dict[int, Fraction] = {}
+    total: dict[int, Scalar] = {}
     for index, amp in v.amps.items():
         digits = []
         for _ in range(k):
@@ -219,7 +220,7 @@ def rep_generator(family, n: int, v: StateVector, adjoint: bool = False) -> Stat
         for r in reversed(digits):
             if not w:
                 break
-            out: dict[int, Fraction] = {}
+            out: dict[int, Scalar] = {}
             for sign, u in written[r]:
                 for m, c in w.items():
                     key = d * (m - 1) + u

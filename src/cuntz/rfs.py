@@ -30,11 +30,14 @@ from . import config
 from .algebra import (
     Element,
     Monomial,
+    Scalar,
     anticommutator,
+    exact_scalar,
     identity,
     isometry,
     iter_monomials,
     term_sort_key,
+    unit_words,
 )
 from .endomorphisms import Endomorphism, is_rho, rho
 from .errors import (
@@ -70,7 +73,7 @@ class RecursiveMap:
     def apply(self, x: Element) -> Element:
         if x.d != self.d:
             raise AlphabetMismatchError(f"d mismatch: {x.d} vs {self.d}")
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for sign, u, v in self.terms:
             for m, c in x.terms.items():
                 key = Monomial((u,) + m.create, (v,) + m.annihilate)
@@ -163,7 +166,7 @@ def _bimodule_certificate(seed: Element, z: RecursiveMap, relation_sign: int):
     Returns (ok, witness).
     """
     d = seed.d
-    pairs: dict[tuple[Monomial, Monomial], Fraction] = {}
+    pairs: dict[tuple[Monomial, Monomial], Scalar] = {}
 
     def add(key, c):
         acc = pairs.get(key)
@@ -175,7 +178,7 @@ def _bimodule_certificate(seed: Element, z: RecursiveMap, relation_sign: int):
             del pairs[key]
 
     for sign, u, v in z.terms:
-        factor = Fraction(sign)
+        factor = sign
         left = seed * isometry(d, u)
         right_word = Monomial((), (v,))
         for m, c in left.terms.items():
@@ -423,7 +426,7 @@ def verify_recursive_condition(sys, depth: int = config.DEFAULT_SWEEP_DEPTH) -> 
     report = Report()
     d = sys.d
     monomials = list(iter_monomials(d, depth))
-    elements = [Element._make(d, {m: Fraction(1)}) for m in monomials]
+    elements = unit_words(d, monomials)
     images = [sys.zeta.apply(el) for el in elements]
     zero = Element.zero(d)
 
@@ -475,7 +478,7 @@ def verify_normalization(sys, depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report
                    status=INCONCLUSIVE)
 
     monomials = list(iter_monomials(d, depth))
-    elements = [Element._make(d, {m: Fraction(1)}) for m in monomials]
+    elements = unit_words(d, monomials)
     images = [sys.zeta.apply(el) for el in elements]
     n = len(monomials)
     pairs = list(itertools.product(range(n), range(n)))
@@ -532,8 +535,8 @@ def validate_system(sys) -> Report:
         # The certificate is only sufficient; look for a cheap refutation
         # before declaring the construction undecided.
         bad = None
-        for m in iter_monomials(sys.d, 1):
-            el = Element._make(sys.d, {m: Fraction(1)})
+        monomials = list(iter_monomials(sys.d, 1))
+        for m, el in zip(monomials, unit_words(sys.d, monomials)):
             if not anticommutator(seed, sys.zeta.apply(el)).equals(Element.zero(sys.d)):
                 bad = m
                 break
@@ -586,12 +589,12 @@ class SpanResult:
     products_considered: int
 
 
-def _level_coordinates(el: Element, k: int, d: int) -> Optional[dict[Monomial, Fraction]]:
+def _level_coordinates(el: Element, k: int, d: int) -> Optional[dict[Monomial, Scalar]]:
     """Coordinates of a charge-zero element in the level-k word basis."""
     nf = el.normal_form()
     if nf.is_zero:
         return None
-    coords: dict[Monomial, Fraction] = {}
+    coords: dict[Monomial, Scalar] = {}
     for m, c in nf.terms.items():
         gap = k - len(m.create)
         if m.excess != 0 or gap < 0:
@@ -609,6 +612,30 @@ def _level_coordinates(el: Element, k: int, d: int) -> Optional[dict[Monomial, F
             elif key in coords:
                 del coords[key]
     return coords or None
+
+
+def _reduce_insert(rows: dict[Monomial, dict[Monomial, Scalar]], coords) -> bool:
+    """Reduce ``coords`` against the pivot rows; keep what is left as a new row.
+
+    Each row is scaled so its pivot (its least word) is 1.  Returns whether
+    a row was added, i.e. whether ``coords`` was independent of the rows.
+    """
+    while coords:
+        pivot = min(coords, key=term_sort_key)
+        row = rows.get(pivot)
+        if row is None:
+            # Fraction, not int, division: the row stays exact.
+            inverse = 1 / Fraction(coords[pivot])
+            rows[pivot] = {m: exact_scalar(c * inverse) for m, c in coords.items()}
+            return True
+        factor = coords[pivot]
+        for m, c in row.items():
+            cc = coords.get(m, 0) - factor * c
+            if cc:
+                coords[m] = cc
+            elif m in coords:
+                del coords[m]
+    return False
 
 
 def span_rank(generators: Sequence[Element], k: int, max_len: int,
@@ -629,28 +656,10 @@ def span_rank(generators: Sequence[Element], k: int, max_len: int,
         raise ResourceLimitError(expected, cap, what="basis size")
     gens = list(generators)
 
-    rows: dict[Monomial, dict[Monomial, Fraction]] = {}
-
-    def reduce_insert(coords) -> bool:
-        while coords:
-            pivot = min(coords, key=term_sort_key)
-            row = rows.get(pivot)
-            if row is None:
-                scale = coords[pivot]
-                rows[pivot] = {m: c / scale for m, c in coords.items()}
-                return True
-            factor = coords[pivot]
-            for m, c in row.items():
-                cc = coords.get(m, Fraction(0)) - factor * c
-                if cc:
-                    coords[m] = cc
-                elif m in coords:
-                    del coords[m]
-        return False
-
+    rows: dict[Monomial, dict[Monomial, Scalar]] = {}
     considered = 0
     queue = [(identity(d), 0)]
-    reduce_insert(_level_coordinates(identity(d), k, d))
+    _reduce_insert(rows, _level_coordinates(identity(d), k, d))
     while queue and len(rows) < expected:
         frontier, length = queue.pop(0)
         if length >= max_len:
@@ -659,7 +668,7 @@ def span_rank(generators: Sequence[Element], k: int, max_len: int,
             product = frontier * g
             considered += 1
             coords = _level_coordinates(product, k, d) if product else None
-            if coords is not None and reduce_insert(coords):
+            if coords is not None and _reduce_insert(rows, coords):
                 queue.append((product, length + 1))
                 if len(rows) == expected:
                     break

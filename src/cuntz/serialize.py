@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
+import re
 
-from .algebra import Element
+from .algebra import Element, Scalar, exact_scalar
 from .endomorphisms import Endomorphism, phi1, phi2, rho, validate_endomorphism
 from .errors import CuntzError, SchemaError
 from .parafermion import GreenSystem, standard_rpfs_p
@@ -32,14 +32,19 @@ def _expect(condition, message):
         raise SchemaError(message)
 
 
-def _coeff_out(c: Fraction) -> str:
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _coeff_out(c: Scalar) -> str:
     return str(c)
 
 
-def _coeff_in(raw) -> Fraction:
+def _coeff_in(raw) -> Scalar:
     _expect(isinstance(raw, str), f"coefficient must be a 'p/q' string, got {raw!r}")
     try:
-        return Fraction(raw)
+        if _ASCII_INT.fullmatch(raw):
+            return int(raw)
+        return exact_scalar(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad coefficient {raw!r}: {exc}") from exc
 

@@ -22,6 +22,7 @@ from cuntz import (
     parse_element,
     raise_monomial,
 )
+from cuntz.algebra import unit_words
 from cuntz.representation import StateVector, rep_apply
 
 
@@ -294,3 +295,40 @@ class TestConstructionGuards:
     def test_like_terms_merge(self):
         el = Element(2, [(mono([1], []), 1), (mono([1], []), -1)])
         assert el.is_zero
+
+
+class TestExactCoefficients:
+    """Integral coefficients are stored as int; floats never enter."""
+
+    def test_integral_coefficients_are_ints(self):
+        el = Element(2, {mono([1], []): Fraction(4, 2), mono([2], []): "-3", mono([], []): 5})
+        assert all(type(c) is int for c in el.terms.values())
+        assert el.coefficient([1], []) == 2 and el.coefficient([2], [2]) == 0
+        assert type(Element(2, {mono([1], []): Fraction(1, 2)}).coefficient([1], [])) is Fraction
+        assert [el.terms for el in unit_words(2, [mono([1], [2]), mono([], [])])] == [
+            {mono([1], [2]): 1}, {mono([], []): 1}]
+        assert type(unit_words(2, [mono([1], [2])])[0].terms[mono([1], [2])]) is int
+
+    def test_scale_by_a_fraction_keeps_integral_results_int(self):
+        el = Element(2, {mono([1], []): 2, mono([2], []): 3}).scale(Fraction(1, 2))
+        assert el.terms == {mono([1], []): 1, mono([2], []): Fraction(3, 2)}
+        assert type(el.terms[mono([1], [])]) is int
+
+    def test_element_rejects_a_float_coefficient(self):
+        with pytest.raises(TypeError, match="0.1"):
+            Element(2, {((1,), ()): 0.1})
+        with pytest.raises(TypeError, match=r"\(1\+2j\)"):
+            Element.word(2, (1,), (), 1 + 2j)
+
+    def test_scale_rejects_a_float_factor(self):
+        with pytest.raises(TypeError, match="0.5"):
+            isometry(2, 1).scale(0.5)
+        with pytest.raises(TypeError):
+            isometry(2, 1) * 0.5
+
+    def test_text_coefficients_are_exact(self):
+        el = parse_element("4/2 s1 - 3 s2 + 1/3 I", 2)
+        assert el.terms == {mono([1], []): 2, mono([2], []): -3, mono([], []): Fraction(1, 3)}
+        assert type(el.terms[mono([1], [])]) is int
+        with pytest.raises(ParseError, match="1/0"):
+            parse_element("1/0 s1", 2)

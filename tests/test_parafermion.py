@@ -89,6 +89,13 @@ class TestStandardRpfsP:
         assert verify_green_recursive(system, depth=1).ok
         assert verify_cross_commutation(system, depth=1).ok
 
+    def test_p3_generators_store_int_coefficients(self):
+        system = standard_rpfs_p(3)
+        gens = [system.parafermion_generator(n) for n in (1, 2, 3)]
+        gens += [system.green_component(alpha, 3) for alpha in (1, 2, 3)]
+        for g in gens:
+            assert g and all(type(c) is int for c in g.terms.values())
+
     def test_p_out_of_range(self):
         with pytest.raises(IndexRangeError):
             standard_rpfs_p(0)

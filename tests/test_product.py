@@ -3,6 +3,11 @@
 ``Element.__mul__`` joins terms on their shared middle prefix and never forms
 a pair that dies.  The reference below forms every pair of terms and reduces
 it with ``monomial_mul``; the two must give identical term maps.
+
+Coefficients are stored as ``int`` when integral and as ``Fraction``
+otherwise, and arithmetic may leave an integral ``Fraction`` behind.  The
+mixed tests hold the product, ``normal_form`` and ``rep_apply`` on such
+operands to the same computation with every coefficient a ``Fraction``.
 """
 
 from fractions import Fraction
@@ -10,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntz import Element, Monomial, monomial_mul, standard_rpfs_p
+from cuntz import Element, Monomial, StateVector, monomial_mul, rep_apply, standard_rpfs_p
 
 
 def pairwise_product(x: Element, y: Element) -> dict:
@@ -76,3 +81,87 @@ def test_std_rpfs3_component_products():
     for x in gens:
         for y in gens:
             assert_matches_reference(x, y)
+
+
+# Integers, proper fractions and integral Fractions, so that every pairing of
+# stored types occurs and joined pairs often cancel.
+MIXED = [1, -1, 2, -3, Fraction(1), Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3)]
+
+
+def mixed_operands(d):
+    index = st.integers(1, d)
+    words = st.lists(index, max_size=4).map(tuple)
+    monomials = st.builds(Monomial, words, words)
+    # _make keeps each coefficient's stored type, integral Fractions included.
+    return st.dictionaries(monomials, st.sampled_from(MIXED), max_size=10).map(
+        lambda terms: Element._make(d, terms))
+
+
+def as_fractions(x: Element) -> Element:
+    return Element._make(x.d, {m: Fraction(c) for m, c in x.terms.items()})
+
+
+def reference_action(x: Element, amps: dict) -> dict:
+    """x acting on sum_n amps[n] e_n in Fractions, one word and one index at a time.
+
+    s_b* maps e_N to e_m when N = d(m-1) + b and kills it otherwise; s_a maps
+    e_m to e_{d(m-1)+a}.  The annihilation word acts first, b1 innermost.
+    """
+    d = x.d
+    out: dict[int, Fraction] = {}
+    for m, c in x.terms.items():
+        for n, amp in amps.items():
+            for b in m.annihilate:
+                q, r = divmod(n - b, d)
+                if r or q < 0:
+                    break
+                n = q + 1
+            else:
+                for a in reversed(m.create):
+                    n = d * (n - 1) + a
+                out[n] = out.get(n, 0) + Fraction(c) * Fraction(amp)
+    return {n: c for n, c in out.items() if c}
+
+
+@st.composite
+def mixed_cases(draw):
+    d = draw(st.sampled_from([2, 3]))
+    x, y = draw(mixed_operands(d)), draw(mixed_operands(d))
+    amps = draw(st.dictionaries(st.integers(1, d**4), st.sampled_from(MIXED), max_size=4))
+    return x, y, StateVector._make(amps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_cases())
+def test_mixed_coefficients_match_fraction_reference(case):
+    x, y, v = case
+    fx, fy = as_fractions(x), as_fractions(y)
+    assert (x * y).terms == pairwise_product(fx, fy)
+    assert rep_apply(x, v).amps == reference_action(fx, v.amps)
+    # The normal form is the same element: equal to the Fraction path's, and
+    # acting like x on sum_n n e_n up to e_{d^4} (distinct amplitudes, so a
+    # permutation of basis vectors shows).
+    nf = x.normal_form()
+    assert nf.terms == fx.normal_form().terms
+    probe = {n: n for n in range(1, x.d**4 + 1)}
+    assert reference_action(nf, probe) == reference_action(fx, probe)
+    assert (x * y).normal_form().terms == (fx * fy).normal_form().terms
+    assert x.equals(fx) and (x * y).equals(fx * fy)
+
+
+def int_operands(d):
+    index = st.integers(1, d)
+    words = st.lists(index, max_size=4).map(tuple)
+    coeff = st.sampled_from([1, -1, 2, -3])
+    return st.lists(st.tuples(st.builds(Monomial, words, words), coeff),
+                    max_size=10).map(lambda terms: Element(d, terms))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda d: st.tuples(int_operands(d), int_operands(d))))
+def test_int_operands_stay_int(pair):
+    x, y = pair
+    v = StateVector({n: c for n, c in enumerate((1, -2, 3), start=1)})
+    results = [(x * y).terms, (x + y).terms, x.normal_form().terms, (x * y).adjoint().terms,
+               rep_apply(x, v).amps, x.scale(-2).terms]
+    assert all(type(c) is int for r in results for c in r.values())

@@ -1,6 +1,7 @@
 """Law-level properties over randomized inputs."""
 
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,9 @@ from cuntz import (
     phi1,
     raise_monomial,
     rho,
+    span_rank,
 )
+from cuntz import rfs as rfs_module
 from cuntz.representation import StateVector, rep_apply
 from cuntz.serialize import element_from_dict, element_to_dict
 
@@ -151,3 +154,74 @@ def test_fock_decode_inverse(modes):
 @given(st.integers(1, 2**24))
 def test_fock_encode_inverse(index):
     assert fock_index(decode_index(index)) == index
+
+
+# -- coefficients stay exact ---------------------------------------------------
+
+
+def stored_exactly(values):
+    """Every value is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+               for c in values)
+
+
+def exact(values):
+    """No value is a float: each is an int or a Fraction."""
+    return all(type(c) in (int, Fraction) for c in values)
+
+
+scale_factors = st.one_of(st.integers(-4, 4), st.fractions(-2, 2, max_denominator=4))
+
+
+@common
+@given(elements(3), scale_factors)
+def test_scale_stores_integral_values_as_int(x, k):
+    assert stored_exactly(x.scale(k).terms.values())
+    assert stored_exactly(StateVector({1: 1, 2: Fraction(1, 2), 3: -2}).scale(k).amps.values())
+
+
+@common
+@given(elements(2, max_len=3),
+       st.dictionaries(st.integers(1, 40), coefficients(), min_size=1, max_size=4))
+def test_rep_apply_amplitudes_are_exact(x, amps):
+    assert exact(rep_apply(x, StateVector(amps)).amps.values())
+
+
+def level_one(d):
+    """Charge-zero elements s_i s_j* with exact coefficients."""
+    word = st.tuples(st.integers(1, d), st.integers(1, d)).map(
+        lambda ij: Monomial((ij[0],), (ij[1],)))
+    return st.lists(st.tuples(word, coefficients()), min_size=1, max_size=3).map(
+        lambda terms: Element(d, terms))
+
+
+@common
+@given(st.lists(level_one(2), min_size=1, max_size=3), scale_factors.filter(bool))
+def test_span_rank_rows_are_exact(gens, k):
+    tables = []
+    reduce_insert = rfs_module._reduce_insert
+
+    def recording(rows, coords):
+        tables.append(rows)
+        return reduce_insert(rows, coords)
+
+    with mock.patch.object(rfs_module, "_reduce_insert", recording):
+        rank = span_rank(gens, 1, 2).rank
+        assert span_rank([g.scale(k) for g in gens], 1, 2).rank == rank
+    assert all(stored_exactly(row.values()) for rows in tables for row in rows.values())
+
+
+@common
+@given(st.integers(1, 5), elements(2, max_len=1))
+def test_spectrum_polynomial_factors_are_exact(p, a):
+    # prod_k (N + (k - p/2) I) with N = [a*, a] / 2, built as the spectrum check does.
+    number = (a.adjoint() * a - a * a.adjoint()).scale(Fraction(1, 2))
+    assert stored_exactly(number.terms.values())
+    unit = identity(2)
+    product = identity(2)
+    for k in range(p + 1):
+        shift = unit.scale(Fraction(k) - Fraction(p, 2))
+        assert stored_exactly(shift.terms.values())
+        assert (type(shift.coefficient((), ())) is int) == ((2 * k - p) % 2 == 0)
+        product = product * (number + shift)
+        assert exact(product.terms.values())

@@ -339,3 +339,19 @@ class TestSandwichAction:
     def test_bad_index(self, std_o2):
         with pytest.raises(IndexRangeError):
             rep_generator(std_o2, 0, e(1))
+
+
+class TestExactAmplitudes:
+    def test_integral_amplitudes_are_ints(self):
+        v = StateVector({1: Fraction(6, 3), 2: Fraction(1, 2)})
+        assert type(v.amps[1]) is int and type(v.amps[2]) is Fraction
+        assert type(StateVector.unit(3).amps[3]) is int
+        assert type(v.scale(2).amps[2]) is int
+
+    def test_vector_rejects_a_float_amplitude(self):
+        with pytest.raises(TypeError, match="0.1"):
+            StateVector({1: 0.1})
+
+    def test_scale_rejects_a_float_factor(self):
+        with pytest.raises(TypeError, match="0.5"):
+            e(1).scale(0.5)

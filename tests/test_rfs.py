@@ -1,7 +1,10 @@
 """Recursive systems: constructors, embeddings, condition suites, span rank."""
 
+from fractions import Fraction
+
 import pytest
 
+from cuntz import rfs as rfs_module
 from cuntz import (
     Element,
     IndexRangeError,
@@ -20,6 +23,7 @@ from cuntz import (
     phi1,
     rho,
     span_dimension_check,
+    span_rank,
     standard_rfs_o2,
     standard_rfs_p,
     validate_system,
@@ -83,6 +87,12 @@ class TestStandardO2:
         a = std_o2.seeds[0]
         assert zeta_power(std_o2.zeta, 0, a) == a
         assert zeta_power(std_o2.zeta, 3, a) == std_o2.generator(4)
+
+    def test_generators_store_int_coefficients(self):
+        system = standard_rfs_o2()
+        for n in range(1, 6):
+            assert all(type(c) is int for c in system.generator(n).terms.values())
+        assert len(system.generator(5)) == 16
 
     def test_generators_are_invariant(self, std_o2):
         for n in range(1, 7):
@@ -324,6 +334,30 @@ class TestSpanDimension:
     def test_basis_cap_guard(self, std_o2):
         with pytest.raises(ResourceLimitError):
             span_dimension_check(std_o2, 3, basis_cap=16)
+
+    def test_scaled_generators_keep_rank_and_exact_rows(self, std_o2, monkeypatch):
+        # Scaled generators give pivots other than +-1, so the elimination
+        # divides; every division must stay exact, so no row value is a float.
+        tables = []
+        reduce_insert = rfs_module._reduce_insert
+
+        def recording(rows, coords):
+            tables.append(rows)
+            return reduce_insert(rows, coords)
+
+        monkeypatch.setattr(rfs_module, "_reduce_insert", recording)
+        gens = [std_o2.generator(n) for n in (1, 2)]
+        gens += [g.adjoint() for g in gens]
+        unscaled = span_rank(gens, 2, 4)
+        assert (unscaled.rank, unscaled.complete) == (16, True)
+        for factors in ((2, 2, 2, 2), (3, 3, 3, 3), (2, 3, Fraction(1, 3), -2)):
+            scaled = span_rank([g.scale(k) for g, k in zip(gens, factors)], 2, 4)
+            assert scaled.rank == unscaled.rank
+        values = [c for rows in tables for row in rows.values() for c in row.values()]
+        assert values and all(type(c) in (int, Fraction) for c in values)
+        # Each row is scaled so that its pivot is 1.
+        for rows in tables:
+            assert all(row[pivot] == 1 for pivot, row in rows.items())
 
 
 class TestResourceCaps:

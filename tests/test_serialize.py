@@ -52,6 +52,19 @@ class TestElementSchema:
         with pytest.raises(SchemaError):
             element_from_dict(payload)
 
+    def test_integral_coefficients_load_as_ints(self):
+        terms = [{"coeff": raw, "create": [i], "annihilate": []}
+                 for i, raw in enumerate(["-3", "+2", "6/3", "1/2"], start=1)]
+        x = element_from_dict({"d": 4, "terms": terms})
+        assert x.terms == {Monomial((1,), ()): -3, Monomial((2,), ()): 2,
+                           Monomial((3,), ()): 2, Monomial((4,), ()): Fraction(1, 2)}
+        assert [type(c) for c in x.terms.values()] == [int, int, int, Fraction]
+
+    def test_rejects_coefficient_beyond_conversion_limit(self):
+        with pytest.raises(SchemaError, match="bad coefficient"):
+            element_from_dict({"d": 2, "terms": [
+                {"coeff": "7" * 5000, "create": [], "annihilate": []}]})
+
 
 class TestVectorSchema:
     def test_round_trip(self):
