@@ -321,8 +321,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        config.max_terms_cap()  # reject a malformed $CUNTZ_MAX_TERMS up front
-        with config.scoped_max_terms(getattr(args, "max_terms", None)):
+        cap = config.max_terms_cap()  # reject a malformed $CUNTZ_MAX_TERMS up front
+        # Scope the cap even without --max-terms, so the many cap checks of
+        # one command do not each read the environment again.
+        with config.scoped_max_terms(getattr(args, "max_terms", None) or cap):
             return _HANDLERS[args.command](args)
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)

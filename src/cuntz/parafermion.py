@@ -13,6 +13,12 @@ The trilinear suite also covers the involution images of the two defining
 double-commutator identities and the mixed form reached by one Jacobi
 step; their right-hand sides are fixed here by direct computation in the
 fermion picture, since only the base identities are usually written out.
+
+The Green relations and the trilinear relations of a system with
+charge-zero seeds run on tensors (``cuntz.tensor``): the n-th component
+generator is the string M_alpha^{(x)(n-1)} (x) a^(alpha), a parafermion
+generator the sum of p such strings.  Any other source, the spectrum and
+vacuum suites and the Klein identities stay on the word algebra.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .algebra import (
     anticommutator,
     commutator,
     identity,
+    is_u1_invariant,
     iter_monomials,
     unit_words,
 )
@@ -39,16 +46,18 @@ from .errors import (
     SystemValidationError,
 )
 from .representation import StateVector, rep_apply
-from .reports import INCONCLUSIVE, Report
+from .reports import INCONCLUSIVE, Report, check_sweep_size
 from .rfs import (
     GeneratorFamily,
     RecursiveMap,
     _matrix_product,
+    _zero_and_unit,
     anticommute_certificate,
     commute_certificate,
     normalization_matrix_holds,
     standard_rfs_p,
 )
+from .tensor import sandwich_power
 
 
 class GreenSystem:
@@ -97,7 +106,7 @@ class GreenSystem:
                 cached = self.zetas[alpha - 1].apply(self.green_component(alpha, n - 1))
                 cap = config.max_terms_cap(self.max_terms)
                 if len(cached) > cap:
-                    raise ResourceLimitError(len(cached), cap)
+                    raise ResourceLimitError(len(cached), cap, operation="generator")
             self._pow[key] = cached
         return cached
 
@@ -248,8 +257,9 @@ def verify_green_normalization(g: GreenSystem,
                                depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report:
     report = Report()
     monomials = list(iter_monomials(g.d, depth))
-    elements = unit_words(g.d, monomials)
     n = len(monomials)
+    check_sweep_size("green-normalization.sampled", n * n)
+    elements = unit_words(g.d, monomials)
     for a in range(g.p):
         applicable = is_rho(g.phis[a])
         if applicable:
@@ -346,12 +356,28 @@ def validate_green_system(g: GreenSystem) -> Report:
     return report
 
 
+def _tensor_components(source):
+    """(alpha, n) -> the n-th generator of component alpha as a tensor
+    (``cuntz.tensor``), for a GreenSystem whose seeds are charge-zero; None
+    for any other source, which keeps its word generators."""
+    if not isinstance(source, GreenSystem) \
+            or not all(is_u1_invariant(s) for s in source.seeds):
+        return None
+    matrices = [z.sandwich_matrix() for z in source.zetas]
+    return lambda alpha, n: sandwich_power(matrices[alpha - 1], source.seeds[alpha - 1],
+                                           n - 1)
+
+
 def verify_green_relations(g: GreenSystem, L: int) -> Report:
-    """Component families: fermionic within, commuting across, up to index L."""
+    """Component families: fermionic within, commuting across, up to index L.
+
+    The predicates run on tensors when the seeds are charge-zero.
+    """
     report = Report()
-    zero = Element.zero(g.d)
-    unit = identity(g.d)
-    comp = {(a, n): g.green_component(a, n)
+    component = _tensor_components(g)
+    zero, unit = _zero_and_unit(component is not None, g.d)
+    component = component or g.green_component
+    comp = {(a, n): component(a, n)
             for a in range(1, g.p + 1) for n in range(1, L + 1)}
 
     same = [(a, m, n) for a in range(1, g.p + 1)
@@ -415,13 +441,23 @@ def verify_trilinear(source, L: int) -> Report:
 
     The last three follow from the first two by the involution and one
     Jacobi step; antisymmetric inner brackets are checked once per
-    unordered pair.
+    unordered pair.  A GreenSystem with charge-zero seeds is checked on
+    tensors, any other source on its word generators.
     """
-    fn = _pf_generator_fn(source)
-    gens = [fn(n) for n in range(1, L + 1)]
+    component = _tensor_components(source)
+    if component is None:
+        fn = _pf_generator_fn(source)
+        gens = [fn(n) for n in range(1, L + 1)]
+    else:
+        gens = []
+        for n in range(1, L + 1):
+            total = component(1, n)
+            for alpha in range(2, source.p + 1):
+                total = total + component(alpha, n)
+            gens.append(total)
     d = gens[0].d
+    zero, _ = _zero_and_unit(component is not None, d)
     adjs = [x.adjoint() for x in gens]
-    zero = Element.zero(d)
     report = Report()
 
     inner_aa = {(m, n): commutator(gens[m], gens[n])
@@ -455,7 +491,7 @@ def verify_trilinear(source, L: int) -> Report:
                 lambda t: "[a_%d*, [a_%d, a_%d*]] wrong" % (t[0] + 1, t[1] + 1, t[2] + 1))
 
     def jacobi_rhs(l, m, n):
-        out = Element.zero(d)
+        out = zero
         if l == m:
             out = out + adjs[n].scale(2)
         if l == n:

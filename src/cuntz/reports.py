@@ -11,6 +11,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
+from . import config
+from .errors import ResourceLimitError
+
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
@@ -55,8 +58,12 @@ class Report:
         ``render(bad)`` as the witness, ``bad`` being the first failing
         candidate, which is returned (None on a pass).  The scan goes
         through the module-level ``sweep_first_failure``, so a wrapper bound
-        to that name (``perfbench/trace.py``) sees every sweep.
+        to that name (``perfbench/trace.py``) sees every sweep.  A sized
+        candidate list longer than the term cap is refused before any
+        predicate runs (:func:`check_sweep_size`).
         """
+        if hasattr(candidates, "__len__"):
+            check_sweep_size(check, len(candidates))
         bad = sweep_first_failure(predicate, candidates)
         self.add(check, params, bad is None, witness=None if bad is None else render(bad))
         return bad
@@ -96,6 +103,14 @@ class Report:
 
     def __len__(self):
         return len(self.results)
+
+
+def check_sweep_size(check: str, count: int):
+    """Raise ResourceLimitError when a sweep of ``count`` candidates would
+    exceed the term cap (:func:`cuntz.config.max_terms_cap`)."""
+    cap = config.max_terms_cap()
+    if count > cap:
+        raise ResourceLimitError(count, cap, what="candidates", operation=f"sweep {check}")
 
 
 def sweep_first_failure(predicate: Callable, items: Iterable):

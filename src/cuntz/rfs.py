@@ -17,6 +17,12 @@ sufficient always, and also necessary for the adjoint and normalization
 certificates), plus a sampled sweep over all words up to a configured
 total letter count ("depth").  Certificate failure with a clean sweep is
 reported as inconclusive rather than being silently trusted either way.
+
+The CAR check of a system with charge-zero seeds runs on tensors
+(``cuntz.tensor``): A_n = z^k(a_i) is the Jordan-Wigner string
+M^{(x)k} (x) a_i of the map's sign matrix M, one term per seed term where
+the word basis holds 2^k words or more.  Any other family, and every
+witness, stays on the word algebra, which is the reference.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .algebra import (
     anticommutator,
     exact_scalar,
     identity,
+    is_u1_invariant,
     isometry,
     iter_monomials,
     term_sort_key,
@@ -47,7 +54,8 @@ from .errors import (
     ResourceLimitError,
     SystemValidationError,
 )
-from .reports import INCONCLUSIVE, Report
+from .reports import INCONCLUSIVE, Report, check_sweep_size
+from .tensor import Tensor, sandwich_power
 
 
 @dataclass(frozen=True)
@@ -222,7 +230,7 @@ class GeneratorFamily:
             cached = self._fn(n)
             cap = config.max_terms_cap(self.max_terms)
             if len(cached) > cap:
-                raise ResourceLimitError(len(cached), cap)
+                raise ResourceLimitError(len(cached), cap, operation="generator")
             self._cache[n] = cached
         return cached
 
@@ -274,7 +282,7 @@ class RfsSystem:
                 cached = self.zeta.apply(self.zeta_power(seed_index, power - 1))
                 cap = config.max_terms_cap(self.max_terms)
                 if len(cached) > cap:
-                    raise ResourceLimitError(len(cached), cap)
+                    raise ResourceLimitError(len(cached), cap, operation="generator")
             self._pow[key] = cached
         return cached
 
@@ -478,9 +486,10 @@ def verify_normalization(sys, depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report
                    status=INCONCLUSIVE)
 
     monomials = list(iter_monomials(d, depth))
+    n = len(monomials)
+    check_sweep_size("normalization.sampled", n * n)
     elements = unit_words(d, monomials)
     images = [sys.zeta.apply(el) for el in elements]
-    n = len(monomials)
     pairs = list(itertools.product(range(n), range(n)))
 
     def pair_ok(pair):
@@ -493,14 +502,39 @@ def verify_normalization(sys, depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report
     return report
 
 
+def _zero_and_unit(tensors: bool, d: int):
+    """The zero and unit of tensor or of word operands."""
+    if tensors:
+        return Tensor.zero(d), Tensor.identity(d)
+    return Element.zero(d), identity(d)
+
+
+def _car_operands(family, n_max: int):
+    """Generators 1..n_max with the zero and unit of their kind.
+
+    An RfsSystem whose seeds are charge-zero gives tensors (``cuntz.tensor``),
+    A_n = z^k(a_i) built as one Jordan-Wigner string per seed term.  Any other
+    family gives its generators as words.
+    """
+    tensors = isinstance(family, RfsSystem) and all(is_u1_invariant(s) for s in family.seeds)
+    if tensors:
+        matrix = family.zeta.sandwich_matrix()
+        gens = [sandwich_power(matrix, family.seeds[i], k)
+                for k, i in (divmod(n, family.p) for n in range(n_max))]
+    else:
+        gens = [family.generator(n) for n in range(1, n_max + 1)]
+    return (gens, *_zero_and_unit(tensors, family.d))
+
+
 def verify_car(family, n_max: int) -> Report:
-    """Anticommutation relations for generators 1..n_max of a family."""
+    """Anticommutation relations for generators 1..n_max of a family.
+
+    The predicates run on tensors for a system with charge-zero seeds; a
+    witness is always rendered from the family's word generators.
+    """
     report = Report()
-    d = family.d
-    gens = [family.generator(n) for n in range(1, n_max + 1)]
+    gens, zero, unit = _car_operands(family, n_max)
     adjs = [g.adjoint() for g in gens]
-    zero = Element.zero(d)
-    unit = identity(d)
     pairs = [(m, n) for m in range(n_max) for n in range(m, n_max)]
 
     def anti_ok(pair):
@@ -510,7 +544,8 @@ def verify_car(family, n_max: int) -> Report:
     report.scan("car.anticommute", {"N": n_max, "pairs": len(pairs)}, pairs, anti_ok,
                 lambda pr: "{A_%d, A_%d} = %s" % (
                     pr[0] + 1, pr[1] + 1,
-                    anticommutator(gens[pr[0]], gens[pr[1]]).normal_form()))
+                    anticommutator(family.generator(pr[0] + 1),
+                                   family.generator(pr[1] + 1)).normal_form()))
 
     def mixed_ok(pair):
         m, n = pair
@@ -520,7 +555,8 @@ def verify_car(family, n_max: int) -> Report:
     report.scan("car.mixed", {"N": n_max, "pairs": len(pairs)}, pairs, mixed_ok,
                 lambda pr: "{A_%d, A_%d*} = %s" % (
                     pr[0] + 1, pr[1] + 1,
-                    anticommutator(gens[pr[0]], adjs[pr[1]]).normal_form()))
+                    anticommutator(family.generator(pr[0] + 1),
+                                   family.generator(pr[1] + 1).adjoint()).normal_form()))
     return report
 
 

@@ -32,7 +32,10 @@ def _expect(condition, message):
         raise SchemaError(message)
 
 
+# A coefficient is an integer or a fraction p/q in ASCII digits: no
+# exponent, point or space, so no short string stands for a huge number.
 _ASCII_INT = re.compile(r"[+-]?[0-9]+")
+_ASCII_FRACTION = re.compile(r"[+-]?[0-9]+/[0-9]+")
 
 
 def _coeff_out(c: Scalar) -> str:
@@ -44,9 +47,11 @@ def _coeff_in(raw) -> Scalar:
     try:
         if _ASCII_INT.fullmatch(raw):
             return int(raw)
-        return exact_scalar(raw)
+        if _ASCII_FRACTION.fullmatch(raw):
+            return exact_scalar(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad coefficient {raw!r}: {exc}") from exc
+    raise SchemaError(f"bad coefficient {raw!r}: expected an integer or 'p/q'")
 
 
 def element_to_dict(x: Element) -> dict:

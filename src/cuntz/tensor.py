@@ -1,0 +1,289 @@
+"""Charge-zero elements of O_d as sums of elementary tensors of d x d matrices.
+
+A charge-zero word s_A s_B* with |A| = |B| = n is the matrix unit
+e_{a1 b1} (x) ... (x) e_{an bn} of M_d^{(x)n}.  Words multiply like matrix
+units, the adjoint transposes every site, and completeness,
+s_A s_B* = sum_i s_{Ai} s_{Bi}*, is padding with I at site n + 1.  So the
+charge-zero subalgebra of O_d is the infinite tensor product of M_d, and a
+:class:`Tensor` holds an element of it as a sum of elementary tensors of
+exact (``int`` or ``Fraction``) matrices, every site past the end being I.
+
+A single-letter sandwich map X -> sum_t sign_t s_{u_t} X s_{v_t}* is
+X -> M (x) X, with M the map's sign matrix.  So the generator
+A_{p(n-1)+i} = z^{n-1}(a_i) is the Jordan-Wigner string
+M^{(x)(n-1)} (x) a_i: one elementary tensor per word of the seed, where the
+word basis holds 2^(n-1) words or more (:func:`sandwich_power`).
+
+Equality is decided exactly by :meth:`Tensor.is_zero`, an elimination one
+site at a time whose rank never exceeds the number of terms.  The word
+algebra of :mod:`cuntz.algebra` stays the reference.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import config
+from .algebra import Element, Scalar, exact_scalar, is_u1_invariant
+from .errors import CuntzError, ResourceLimitError
+
+# A d x d matrix: its nonzero entries (row, column, value), sorted, with
+# letters 1..d as indices.  The empty tuple is the zero matrix.
+Matrix = tuple[tuple[int, int, Scalar], ...]
+# One elementary tensor: the factors of sites 1, 2, ...; sites past the end
+# are I, so a key never ends in the identity matrix.
+Sites = tuple[Matrix, ...]
+
+
+def _matrix(entries: dict[tuple[int, int], Scalar]) -> Matrix:
+    return tuple(sorted((i, j, c) for (i, j), c in entries.items() if c))
+
+
+def _identity(d: int) -> Matrix:
+    return tuple((i, i, 1) for i in range(1, d + 1))
+
+
+def _matmul(a: Matrix, b: Matrix) -> Matrix:
+    rows: dict[int, list] = {}
+    for k, j, y in b:
+        rows.setdefault(k, []).append((j, y))
+    out: dict[tuple[int, int], Scalar] = {}
+    for i, k, x in a:
+        for j, y in rows.get(k, ()):
+            out[(i, j)] = out.get((i, j), 0) + x * y
+    return _matrix(out)
+
+
+def _transpose(a: Matrix) -> Matrix:
+    return tuple(sorted((j, i, c) for i, j, c in a))
+
+
+def _accumulate(out: dict, sites: Sites, c: Scalar, unit: Matrix):
+    """Add c times ``sites`` to ``out``, dropping trailing identity factors."""
+    while sites and sites[-1] == unit:
+        sites = sites[:-1]
+    acc = out.get(sites)
+    if acc is not None:
+        c = acc + c
+    if c:
+        out[sites] = c
+    elif acc is not None:
+        del out[sites]
+
+
+def _sparse_sum(left: dict, right: dict) -> dict:
+    out = dict(left)
+    for key, c in right.items():
+        acc = out.get(key)
+        c = c if acc is None else acc + c
+        if c:
+            out[key] = c
+        elif acc is not None:
+            del out[key]
+    return out
+
+
+def _eliminate(basis: dict, vec: dict) -> dict:
+    """Coordinates of ``vec`` over ``basis``, which grows when ``vec`` leaves its span.
+
+    ``basis`` maps a pivot to ``(index, row)``: the row's pivot entry is 1 and
+    its other keys are larger.  Reducing ``vec`` at its least key each time
+    collects its coordinates; what is left becomes a new row.  ``vec`` is
+    consumed.
+    """
+    coords: dict[int, Scalar] = {}
+    while vec:
+        pivot = min(vec)
+        c = vec[pivot]
+        entry = basis.get(pivot)
+        if entry is None:
+            if c == -1:
+                vec = {key: -v for key, v in vec.items()}
+            elif c != 1:
+                # Fraction, not int, division: the row stays exact.
+                inverse = 1 / Fraction(c)
+                vec = {key: exact_scalar(v * inverse) for key, v in vec.items()}
+            index = len(basis)
+            basis[pivot] = (index, vec)
+            coords[index] = c
+            return coords
+        index, row = entry
+        coords[index] = c
+        for key, v in row.items():
+            cc = vec.get(key, 0) - c * v
+            if cc:
+                vec[key] = cc
+            elif key in vec:
+                del vec[key]
+    return coords
+
+
+class Tensor:
+    """A charge-zero element of O_d: ``terms`` maps :data:`Sites` to coefficients.
+
+    A sum, a product or a converted element holds at most the term cap of
+    :func:`cuntz.config.max_terms_cap`; past it ResourceLimitError names
+    ``tensor``.  Instances are immutable by convention.
+    """
+
+    __slots__ = ("d", "terms")
+
+    def __init__(self, d: int, terms: dict[Sites, Scalar]):
+        self.d = d
+        self.terms = terms
+
+    @classmethod
+    def zero(cls, d: int) -> "Tensor":
+        return cls(d, {})
+
+    @classmethod
+    def identity(cls, d: int) -> "Tensor":
+        return cls(d, {(): 1})
+
+    @classmethod
+    def from_element(cls, x: Element) -> "Tensor":
+        """The tensor form of a charge-zero element; its words of one level
+        that share all but their last letter pair become one term."""
+        if not is_u1_invariant(x):
+            raise CuntzError("only a charge-zero element has a tensor form")
+        last: dict[Sites, dict[tuple[int, int], Scalar]] = {}
+        out: dict[Sites, Scalar] = {}
+        unit = _identity(x.d)
+        for (create, annihilate), c in x.terms.items():
+            if not create:
+                _accumulate(out, (), c, unit)
+                continue
+            prefix = tuple(((a, b, 1),) for a, b in zip(create[:-1], annihilate[:-1]))
+            last.setdefault(prefix, {})[(create[-1], annihilate[-1])] = c
+        for prefix, entries in last.items():
+            _accumulate(out, prefix + (_matrix(entries),), 1, unit)
+        return cls._capped(x.d, out)
+
+    @classmethod
+    def _capped(cls, d: int, terms: dict) -> "Tensor":
+        cap = config.max_terms_cap()
+        if len(terms) > cap:
+            raise ResourceLimitError(len(terms), cap, operation="tensor")
+        return cls(d, terms)
+
+    def __add__(self, other: "Tensor") -> "Tensor":
+        return Tensor._capped(self.d, _sparse_sum(self.terms, other.terms))
+
+    def __neg__(self) -> "Tensor":
+        return Tensor(self.d, {s: -c for s, c in self.terms.items()})
+
+    def __sub__(self, other: "Tensor") -> "Tensor":
+        return self + (-other)
+
+    def scale(self, k: Scalar) -> "Tensor":
+        k = exact_scalar(k)
+        if not k:
+            return Tensor.zero(self.d)
+        return Tensor(self.d, {s: exact_scalar(c * k) for s, c in self.terms.items()})
+
+    def __mul__(self, other: "Tensor") -> "Tensor":
+        """Site by site; a pair of terms with a zero site product is dropped."""
+        unit = _identity(self.d)
+        products: dict[tuple[Matrix, Matrix], Matrix] = {}
+        out: dict[Sites, Scalar] = {}
+        for sa, ca in self.terms.items():
+            for sb, cb in other.terms.items():
+                sites = []
+                for pair in zip(sa, sb):
+                    ab = products.get(pair)
+                    if ab is None:
+                        ab = products[pair] = _matmul(*pair)
+                    if not ab:
+                        break
+                    sites.append(ab)
+                else:
+                    n = len(sites)
+                    _accumulate(out, (*sites, *sa[n:], *sb[n:]), ca * cb, unit)
+        return Tensor._capped(self.d, out)
+
+    def adjoint(self) -> "Tensor":
+        """The *-involution: every site factor transposed."""
+        return Tensor(self.d, {tuple(_transpose(m) for m in sites): c
+                               for sites, c in self.terms.items()})
+
+    def is_zero(self) -> bool:
+        """Exact test of X = 0, one site at a time from the left.
+
+        At site k, X = sum_t L_t (x) R_t, with L_t the factors before k and
+        R_t those from k on.  The left parts are kept as coordinate rows over
+        a basis of independent tensors.  At each site:
+
+        - columns with equal right parts are merged by adding their rows; a
+          row that cancels is dropped;
+        - if every column carries the same nonzero factor F, the basis takes
+          on (x) F and the rows stay; a shared zero factor makes X zero;
+        - otherwise each row is extended by its column's factor, over the
+          basis (x) matrix units, and re-expressed by elimination over a
+          basis of the extended rows' span.  That basis never outgrows the
+          number of columns.
+
+        Past the last site every right part is empty, so one column is left,
+        and X = 0 exactly when its row is zero.
+        """
+        if not self.terms:
+            return True
+        d = self.d
+        dd = d * d
+        n = max(len(sites) for sites in self.terms)
+        unit = _identity(d)
+        padded = [sites + (unit,) * (n - len(sites)) for sites in self.terms]
+        # Sites whose factor every column shares are passed over up front.
+        varying = []
+        for k, factors in enumerate(zip(*padded)):
+            if factors.count(factors[0]) < len(factors):
+                varying.append(k)
+            elif not factors[0]:
+                return True
+        cols = [(sites, {0: c}) for sites, c in zip(padded, self.terms.values())]
+        # Past the last site every right part is empty: one merged column.
+        for k in varying + [n]:
+            merged: dict[Sites, tuple] = {}
+            for sites, row in cols:
+                key = sites[k:]
+                seen = merged.get(key)
+                merged[key] = (sites, row) if seen is None else (
+                    sites, _sparse_sum(seen[1], row))
+            cols = [col for col in merged.values() if col[1]]
+            if k == n or not cols:
+                return not cols
+            factor = cols[0][0][k]
+            if factor and all(sites[k] == factor for sites, _ in cols):
+                continue
+            basis: dict[int, tuple[int, dict]] = {}
+            extended = []
+            for sites, row in cols:
+                vec = {}
+                for j, x in row.items():
+                    base = j * dd - d - 1
+                    for a, b, y in sites[k]:
+                        vec[base + a * d + b] = x * y
+                coords = _eliminate(basis, vec)
+                if coords:
+                    extended.append((sites, coords))
+            cols = extended
+
+    def equals(self, other: "Tensor") -> bool:
+        """Equality in O_d, exact."""
+        return (self - other).is_zero()
+
+    def __repr__(self) -> str:
+        return f"Tensor(d={self.d}, {len(self.terms)} terms)"
+
+
+def sandwich_power(matrix: dict[tuple[int, int], int], seed: Element, k: int) -> Tensor:
+    """z^k(seed) = M^{(x)k} (x) seed for the sandwich map whose sign matrix M
+    is ``matrix`` (as :meth:`cuntz.rfs.RecursiveMap.sandwich_matrix` gives
+    it); ``seed`` must be charge-zero."""
+    base = Tensor.from_element(seed)
+    string = (_matrix(matrix),) * k
+    unit = _identity(seed.d)
+    out: dict[Sites, Scalar] = {}
+    for sites, c in base.terms.items():
+        _accumulate(out, string + sites, c, unit)
+    return Tensor._capped(seed.d, out)
+

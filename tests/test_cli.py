@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cuntz import Element, Monomial, standard_rfs_p
+from cuntz import Element, Monomial, standard_rfs_o2, standard_rfs_p
 from cuntz.cli import main
 from cuntz.serialize import element_to_dict, rfs_to_dict, vector_to_dict
 from cuntz.representation import StateVector
@@ -253,6 +253,15 @@ class TestTermCapInput:
         assert out == ""
         assert "65537" in err and "cap 1000" in err and "normal_form" in err
 
+    def test_exponent_coefficient_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"d": 2, "terms": [
+            {"coeff": "1e5000", "create": [1], "annihilate": [2]}]}))
+        code, out, err = run(capsys, "normal-form", "--element", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "bad coefficient '1e5000'" in err
+
     @pytest.mark.parametrize("raw", ["0", "-5", "abc"])
     def test_non_positive_flag_exits_2(self, capsys, raw):
         code, out, err = run(capsys, "embed", "--system", "std-o2", "--n", "1",
@@ -272,6 +281,22 @@ class TestLargeModes:
         payload = json.loads(out)
         assert payload["index"] == str(2 + 2**1999)
         assert payload["match"] is True
+
+    def test_car_N_30(self, capsys):
+        # Generator 30 has 2^29 words, but one term as a tensor.
+        code, out, err = run(capsys, "verify", "--system", "std-o2", "--suite", "car",
+                             "--N", "30", "--format", "json")
+        assert code == 0, err
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [line["params"] for line in lines] == [{"N": 30, "pairs": 465}] * 2
+        assert all(line["pass"] for line in lines)
+
+    def test_embed_still_grows_words(self, capsys):
+        code, out, err = run(capsys, "embed", "--system", "std-o2", "--n", "30")
+        assert code == 3
+        assert out == ""
+        assert err.strip() == (
+            "resource cap: terms count 524288 exceeds cap 500000 in generator")
 
     def test_vacuum_N_300(self, capsys):
         code, out, _ = run(capsys, "verify", "--system", "std-o2", "--suite", "vacuum",
@@ -293,10 +318,23 @@ class TestMaxTermsFlag:
     CAR = ("verify", "--system", "std-o2", "--suite", "car", "--N", "1")
 
     def test_flag_caps_normal_form(self, capsys):
-        code, out, err = run(capsys, *self.CAR, "--max-terms", "1")
+        # The seed relations are decided by normal forms.
+        code, out, err = run(capsys, "verify", "--system", "std-o2", "--suite", "seed",
+                             "--max-terms", "1")
         assert code == 3
         assert out == ""
         assert "cap 1 in normal_form" in err
+
+    def test_flag_caps_tensor_products(self, capsys, tmp_path):
+        # CAR runs on tensors: {A_1, A_1*} = e11 + e22 has two terms.  A JSON
+        # system is not validated on verify, so no normal form runs first.
+        path = tmp_path / "std-o2.json"
+        path.write_text(json.dumps(rfs_to_dict(standard_rfs_o2())))
+        code, out, err = run(capsys, "verify", "--system", str(path), "--suite", "car",
+                             "--N", "1", "--max-terms", "1")
+        assert code == 3
+        assert out == ""
+        assert "terms count 2 exceeds cap 1 in tensor" in err
 
     def test_flag_matches_env(self, capsys, monkeypatch):
         code_flag, _, err_flag = run(capsys, *self.CAR, "--max-terms", "1")
@@ -309,6 +347,29 @@ class TestMaxTermsFlag:
         code, out, _ = run(capsys, *self.CAR)
         assert code == 0
         assert "[PASS]" in out
+
+
+class TestSweepBudget:
+    """A sweep longer than the term cap exits 3 before its first predicate."""
+
+    @pytest.mark.parametrize("system, check", [
+        ("std-rfs-p:3", "normalization.sampled"),
+        ("std-rpfs:3", "green-normalization.sampled"),
+    ])
+    def test_depth_4_pair_sweep(self, capsys, system, check):
+        code, out, err = run(capsys, "verify", "--system", system,
+                             "--suite", "normalization", "--depth", "4")
+        assert code == 3
+        assert out == ""
+        assert err.strip() == ("resource cap: candidates count 516971169 exceeds cap "
+                               f"500000 in sweep {check}")
+
+    def test_scan_refuses_a_long_candidate_list(self, capsys):
+        # car.anticommute at N=4 scans 10 pairs.
+        code, out, err = run(capsys, "verify", "--system", "std-o2", "--suite", "car",
+                             "--N", "4", "--max-terms", "9")
+        assert code == 3
+        assert "candidates count 10 exceeds cap 9 in sweep car.anticommute" in err
 
 
 class TestRangeFlags:

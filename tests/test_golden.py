@@ -4,7 +4,8 @@ Each file in ``tests/golden`` is the exact standard output of one run.  The
 verify files were recorded before the canonical endomorphism was applied in
 sandwich form; the fock and vacuum files before generators acted on Fock
 vectors in sandwich form; the std-rpfs:3 parafermion and flipped Green
-files before every sweep went through ``Report.scan``.  Refactors must
+files before every sweep went through ``Report.scan``; the CAR, Green and
+trilinear files before those checks ran on tensors of matrices.  Refactors must
 reproduce them byte for byte, exit code included.  A deliberate change of
 output rewrites the file with the command's output.
 """
@@ -77,6 +78,12 @@ CASES = {
     "std-rpfs3-parafermion-L3": (["--system", "std-rpfs:3", "--suite", "parafermion",
                                   "--L", "3"], 0),
     "flipped-green-all-L3": (["--system", FLIPPED_GREEN, "--suite", "all", "--L", "3"], 1),
+    "std-o2-car-N11": (["--system", "std-o2", "--suite", "car", "--N", "11"], 0),
+    "std-rfs-p3-car-N9": (["--system", "std-rfs-p:3", "--suite", "car", "--N", "9"], 0),
+    "std-rpfs3-green-L3": (["--system", "std-rpfs:3", "--suite", "green", "--L", "3"], 0),
+    "std-rpfs3-trilinear-L3": (["--system", "std-rpfs:3", "--suite", "trilinear",
+                                "--L", "3"], 0),
+    "negative-control-car-N4": (["--system", None, "--suite", "car", "--N", "4"], 1),
 }
 
 

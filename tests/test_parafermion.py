@@ -11,6 +11,7 @@ from cuntz import (
     IndexRangeError,
     Monomial,
     RecursiveMap,
+    ResourceLimitError,
     StateVector,
     anticommutator,
     commutator,
@@ -122,6 +123,13 @@ class TestGreenComponents:
             Monomial((1,), (3,)): 1, Monomial((2,), (4,)): 1,
         })
         assert rpfs2.parafermion_generator(1) == expected
+
+    def test_cap_error_names_the_generator(self):
+        system = standard_rpfs_p(2, validate=False)
+        system.max_terms = 8
+        with pytest.raises(ResourceLimitError) as err:
+            system.green_component(1, 3)
+        assert err.value.operation == "generator"
 
     def test_generators_not_nilpotent_but_trilinear(self, rpfs2):
         one = rpfs2.parafermion_generator(1)

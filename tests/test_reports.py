@@ -2,6 +2,10 @@
 
 import json
 
+import pytest
+
+from cuntz import config
+from cuntz.errors import ResourceLimitError
 from cuntz.reports import (
     INCONCLUSIVE,
     CheckResult,
@@ -90,3 +94,14 @@ def test_check_result_passed():
     assert CheckResult("x", {}, "pass").passed
     assert not CheckResult("x", {}, "fail").passed
     assert not CheckResult("x", {}, INCONCLUSIVE).passed
+
+
+def test_scan_refuses_a_sized_list_past_the_cap():
+    seen = []
+    with config.scoped_max_terms(2):
+        with pytest.raises(ResourceLimitError) as err:
+            Report().scan("demo", {}, [1, 2, 3], seen.append, str)
+        assert Report().scan("demo", {}, [1, 2], lambda x: True, str) is None
+    assert seen == []
+    assert (err.value.what, err.value.operation, err.value.count) == (
+        "candidates", "sweep demo", 3)

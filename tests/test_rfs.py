@@ -374,6 +374,16 @@ class TestResourceCaps:
         with pytest.raises(ResourceLimitError):
             family.generator(3)
 
+    def test_cap_errors_name_the_generator(self, std_o2):
+        system = standard_rfs_o2()
+        system.max_terms = 8
+        family = compose_with_endomorphism(std_o2, rho(2))
+        family.max_terms = 2
+        for grow in (lambda: system.generator(6), lambda: family.generator(3)):
+            with pytest.raises(ResourceLimitError) as err:
+                grow()
+            assert err.value.operation == "generator"
+
     def test_zero_cap_is_not_the_default(self):
         # max_terms=0 is a cap of zero terms, not "unset".
         system = standard_rfs_o2()

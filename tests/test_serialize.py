@@ -60,6 +60,14 @@ class TestElementSchema:
                            Monomial((3,), ()): 2, Monomial((4,), ()): Fraction(1, 2)}
         assert [type(c) for c in x.terms.values()] == [int, int, int, Fraction]
 
+    @pytest.mark.parametrize("raw", ["1e5000", "1.5", " 1", "1/2 ", "\u0661", "1/-2"])
+    def test_rejects_coefficient_outside_the_grammar(self, raw):
+        # Only ASCII digits, an optional sign and one '/': "1e100000000" would
+        # otherwise build a 100-million-digit integer.
+        with pytest.raises(SchemaError, match="bad coefficient"):
+            element_from_dict({"d": 2, "terms": [
+                {"coeff": raw, "create": [], "annihilate": []}]})
+
     def test_rejects_coefficient_beyond_conversion_limit(self):
         with pytest.raises(SchemaError, match="bad coefficient"):
             element_from_dict({"d": 2, "terms": [
