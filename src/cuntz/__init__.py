@@ -10,24 +10,20 @@ with their Klein-transformation bookkeeping.
 from .algebra import (
     Element,
     Monomial,
-    adjoint,
     anticommutator,
     commutator,
     element_to_text,
-    equals,
     grade_decompose,
     identity,
     is_u1_invariant,
     isometry,
     iter_monomials,
     monomial_mul,
-    normal_form,
     parse_element,
     raise_monomial,
 )
 from .endomorphisms import (
     Endomorphism,
-    apply_endomorphism,
     canonical_endomorphism,
     identity_endomorphism,
     phi1,
@@ -48,9 +44,7 @@ from .errors import (
 )
 from .parafermion import (
     GreenSystem,
-    green_component,
     klein_factor,
-    parafermion_generator,
     standard_rpfs2,
     standard_rpfs_p,
     validate_green_system,
@@ -84,9 +78,7 @@ from .rfs import (
     RecursiveMap,
     RfsSystem,
     SpanResult,
-    apply_zeta,
     compose_with_endomorphism,
-    embed_generator,
     generalized_rfs_o2d,
     span_dimension_check,
     span_rank,
@@ -98,7 +90,6 @@ from .rfs import (
     verify_normalization,
     verify_recursive_condition,
     verify_seed_condition,
-    zeta_power,
 )
 
 __version__ = "0.1.0"

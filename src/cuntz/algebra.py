@@ -40,7 +40,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
 from . import config
-from .errors import AlphabetMismatchError, IndexRangeError, ParseError, ResourceLimitError
+from .errors import AlphabetMismatchError, IndexRangeError, ParseError
 
 Scalar = Union[int, Fraction]
 
@@ -93,6 +93,61 @@ def exact_scalar(c) -> Scalar:
         )
     c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def accumulate(out: dict, items) -> dict:
+    """Add each ``(key, value)`` of ``items`` into ``out``; a key whose sum is
+    zero is dropped.  Returns ``out``."""
+    get = out.get
+    for key, c in items:
+        acc = get(key)
+        if acc is not None:
+            c = acc + c
+        if c:
+            out[key] = c
+        elif acc is not None:
+            del out[key]
+    return out
+
+
+def eliminate(basis: dict, vec: dict) -> dict:
+    """Coordinates of ``vec`` over ``basis``, which grows when ``vec`` leaves its span.
+
+    ``basis`` maps a pivot to ``(index, row)``: the row's pivot entry is 1 and
+    its other keys are larger.  Reducing ``vec`` at its least key each time
+    collects its coordinates; what is left becomes a new row, with index
+    ``len(basis)``.  Whether a vector is independent of the rows does not
+    depend on the key order.  ``vec`` is consumed.
+    """
+    coords: dict[int, Scalar] = {}
+    while vec:
+        pivot = min(vec)
+        c = vec[pivot]
+        entry = basis.get(pivot)
+        if entry is None:
+            if c in (1, -1) and all(type(v) is int for v in vec.values()):
+                if c == -1:
+                    vec = {key: -v for key, v in vec.items()}
+            else:
+                # Fraction, not int, division: the row stays exact, and each
+                # value is stored in the form exact_scalar gives it.
+                inverse = 1 / Fraction(c)
+                vec = {key: exact_scalar(v * inverse) for key, v in vec.items()}
+            index = len(basis)
+            basis[pivot] = (index, vec)
+            coords[index] = c
+            return coords
+        index, row = entry
+        coords[index] = c
+        # Inline, not accumulate: rows are short and reduced very often, and
+        # a call per reduction costs the tensor zero test time.
+        for key, v in row.items():
+            cc = vec.get(key, 0) - c * v
+            if cc:
+                vec[key] = cc
+            elif key in vec:
+                del vec[key]
+    return coords
 
 
 def _check_d(d) -> int:
@@ -151,17 +206,8 @@ class Element:
         clean: dict[Monomial, Scalar] = {}
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
-            for m, c in items:
-                m = Monomial(_check_word(m[0], d), _check_word(m[1], d))
-                c = exact_scalar(c)
-                if not c:
-                    continue
-                acc = clean.get(m)
-                c = c if acc is None else acc + c
-                if c:
-                    clean[m] = c
-                elif m in clean:
-                    del clean[m]
+            accumulate(clean, ((Monomial(_check_word(m[0], d), _check_word(m[1], d)),
+                                exact_scalar(c)) for m, c in items))
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_terms", clean)
 
@@ -222,15 +268,7 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_d(other)
-        out = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = out.get(m)
-            c = c if acc is None else acc + c
-            if c:
-                out[m] = c
-            elif m in out:
-                del out[m]
-        return Element._make(self.d, out)
+        return Element._make(self.d, accumulate(dict(self._terms), other._terms.items()))
 
     def __neg__(self) -> "Element":
         return Element._make(self.d, {m: -c for m, c in self._terms.items()})
@@ -365,33 +403,22 @@ class Element:
                 pending.append((m, c, gap))
                 words += d ** gap
         if words > len(pending):
-            cap = config.max_terms_cap()
-            if words > cap:
-                raise ResourceLimitError(words, cap, operation="normal_form")
-        out: dict[Monomial, Scalar] = {}
+            config.check_cap(words, "normal_form")
         alphabet = range(1, d + 1)
-        for m, c, gap in pending:
-            if gap == 0:
-                keys = (m,)
-            else:
-                keys = (
-                    Monomial(m.create + w, m.annihilate + w)
-                    for w in itertools.product(alphabet, repeat=gap)
-                )
-            for key in keys:
-                acc = out.get(key)
-                cc = c if acc is None else acc + c
-                if cc:
-                    out[key] = cc
-                elif key in out:
-                    del out[key]
-        return Element._make(self.d, out)
+        # The words that are not raised are distinct terms of self: none merge.
+        out = {m: c for m, c, gap in pending if not gap}
+        return Element._make(self.d, accumulate(out, (
+            (Monomial(m.create + w, m.annihilate + w), c)
+            for m, c, gap in pending if gap
+            for w in itertools.product(alphabet, repeat=gap))))
 
     def equals(self, other: "Element") -> bool:
         """Mathematical equality in O_d (exact, via the normal form)."""
         if not isinstance(other, Element):
             raise TypeError(f"cannot compare Element with {type(other).__name__}")
         self._require_same_d(other)
+        # Inline, not accumulate: equals runs once per sweep candidate, and a
+        # call per comparison costs the rfs-sweep workload time.
         diff = dict(self._terms)
         for m, c in other._terms.items():
             acc = diff.get(m)
@@ -423,19 +450,7 @@ class Element:
         return f"Element(d={self.d}, <{element_to_text(self)}>)"
 
 
-# -- functional forms of the element operations ------------------------------
-
-
-def adjoint(x: Element) -> Element:
-    return x.adjoint()
-
-
-def normal_form(x: Element) -> Element:
-    return x.normal_form()
-
-
-def equals(x: Element, y: Element) -> bool:
-    return x.equals(y)
+# -- named elements and helpers ----------------------------------------------
 
 
 def identity(d: int) -> Element:
@@ -454,6 +469,13 @@ def isometry(d: int, i: int) -> Element:
 def unit_words(d: int, monomials) -> list[Element]:
     """One element 1 * m per word m; the words must already be valid for d."""
     return [Element._make(d, {m: 1}) for m in monomials]
+
+
+def sweep_words(d: int, depth: int) -> tuple[list[Monomial], list[Element]]:
+    """The words of total letter count <= depth (:func:`iter_monomials`), with
+    each as an element: the candidates of a sampled condition sweep."""
+    monomials = list(iter_monomials(d, depth))
+    return monomials, unit_words(d, monomials)
 
 
 def raise_monomial(x: Monomial, d: int) -> Element:

@@ -184,17 +184,11 @@ def _parse_modes(raw: str):
         raise SchemaError(f"bad mode list {raw!r}") from exc
 
 
-def _generator_fn(system):
-    if isinstance(system, GreenSystem):
-        return system.parafermion_generator
-    return system.generator
-
-
 def _cmd_embed(args) -> int:
     system = system_from_spec(args.system)
     if args.n < 1:
         raise IndexRangeError(f"--n must be >= 1, got {args.n}")
-    element = _generator_fn(system)(args.n).normal_form()
+    element = system.generator(args.n).normal_form()
     _print_element(element, args.format)
     return 0
 

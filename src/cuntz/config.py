@@ -1,9 +1,9 @@
-"""Tunable defaults: resource caps, sweep depths, reproducibility seed."""
+"""Tunable defaults: resource caps and sweep depths."""
 
 import contextlib
 import os
 
-from .errors import ConfigError
+from .errors import ConfigError, ResourceLimitError
 
 # Environment variable overriding the default term cap for grown elements.
 MAX_TERMS_ENV = "CUNTZ_MAX_TERMS"
@@ -19,9 +19,6 @@ DEFAULT_P_MAX_RPFS = 4
 
 # Coordinate-space bound for exact rank computations.
 DEFAULT_SPAN_BASIS_CAP = 65_536
-
-# Seed for every randomized sweep; recorded here so runs are reproducible.
-DEFAULT_RNG_SEED = 271828
 
 
 # Term cap set by ``scoped_max_terms``; it takes the place of the environment
@@ -46,6 +43,14 @@ def max_terms_cap(override=None):
     if value <= 0:
         raise ConfigError(f"{MAX_TERMS_ENV} must be a positive integer, got {raw!r}")
     return value
+
+
+def check_cap(count, operation, override=None, what="terms"):
+    """Raise ResourceLimitError naming ``operation`` when ``count`` exceeds
+    ``max_terms_cap(override)``."""
+    cap = max_terms_cap(override)
+    if count > cap:
+        raise ResourceLimitError(count, cap, what=what, operation=operation)
 
 
 @contextlib.contextmanager

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import Element, Monomial, Scalar, identity, isometry
+from .algebra import Element, Monomial, Scalar, accumulate, identity, isometry
 from .errors import AlphabetMismatchError, EndomorphismValidationError, IndexRangeError
 
 
@@ -82,13 +82,10 @@ class Endomorphism:
         if self._canonical:
             return Element._make(self.d, _sandwich_terms(x, keep_unit=True))
         out: dict[Monomial, Scalar] = {}
-        get = out.get
         for (create, annihilate), c in x.terms.items():
             img = self.image_of_word(create) * self.image_of_word(annihilate).adjoint()
-            for m, k in img.terms.items():
-                acc = get(m)
-                out[m] = k * c if acc is None else acc + k * c
-        return Element._make(self.d, {m: c for m, c in out.items() if c})
+            accumulate(out, ((m, k * c) for m, k in img.terms.items()))
+        return Element._make(self.d, out)
 
     def __call__(self, x: Element) -> Element:
         return self.apply(x)
@@ -121,10 +118,6 @@ def validate_endomorphism(images: Sequence[Element]) -> Endomorphism:
     if failures:
         raise EndomorphismValidationError(failures)
     return endo
-
-
-def apply_endomorphism(e: Endomorphism, x: Element) -> Element:
-    return e.apply(x)
 
 
 def _sandwich_terms(x: Element, keep_unit: bool) -> dict[Monomial, Scalar]:

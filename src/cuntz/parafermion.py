@@ -14,6 +14,11 @@ double-commutator identities and the mixed form reached by one Jacobi
 step; their right-hand sides are fixed here by direct computation in the
 fermion picture, since only the base identities are usually written out.
 
+A :class:`GreenSystem` is a triad system (``cuntz.rfs.TriadSystem``) whose
+triads each carry their own map and endomorphism, so its component memo,
+tensor dispatch, certificate-plus-sweep reports and validation are the ones
+the fermion systems use.
+
 The Green relations and the trilinear relations of a system with
 charge-zero seeds run on tensors (``cuntz.tensor``): the n-th component
 generator is the string M_alpha^{(x)(n-1)} (x) a^(alpha), a parafermion
@@ -23,7 +28,9 @@ vacuum suites and the Klein identities stay on the word algebra.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -34,107 +41,44 @@ from .algebra import (
     anticommutator,
     commutator,
     identity,
-    is_u1_invariant,
-    iter_monomials,
-    unit_words,
+    sweep_words,
 )
 from .endomorphisms import Endomorphism, is_rho, rho
-from .errors import (
-    AlphabetMismatchError,
-    IndexRangeError,
-    ResourceLimitError,
-    SystemValidationError,
-)
+from .errors import IndexRangeError
 from .representation import StateVector, rep_apply
-from .reports import INCONCLUSIVE, Report, check_sweep_size
+from .reports import Report
 from .rfs import (
-    GeneratorFamily,
     RecursiveMap,
+    TriadSystem,
     _matrix_product,
-    _zero_and_unit,
-    anticommute_certificate,
-    commute_certificate,
-    normalization_matrix_holds,
+    adjoint_certificate,
+    bimodule_certificate,
+    certified_scan,
+    normalization_certificate,
+    normalization_sweep,
+    operands,
     standard_rfs_p,
+    validate_triads,
 )
-from .tensor import sandwich_power
 
 
-class GreenSystem:
-    """p component triads (seed, map, endomorphism) on d = 2^p letters."""
+class GreenSystem(TriadSystem):
+    """p component triads (seed, map, endomorphism) on d = 2^p letters; the
+    n-th parafermion generator is the sum of the components' n-th generators."""
 
-    __slots__ = ("p", "d", "seeds", "zetas", "phis", "label", "max_terms",
-                 "validation", "_pow")
+    __slots__ = ()
 
     def __init__(self, seeds: Sequence[Element], zetas: Sequence[RecursiveMap],
                  phis: Sequence[Endomorphism], label: str = "rpfs",
                  validate: bool = True, max_terms: Optional[int] = None):
-        seeds, zetas, phis = tuple(seeds), tuple(zetas), tuple(phis)
-        if not (len(seeds) == len(zetas) == len(phis)) or not seeds:
-            raise IndexRangeError("need one (seed, map, endomorphism) triad per component")
-        d = zetas[0].d
-        if any(s.d != d for s in seeds) or any(z.d != d for z in zetas) \
-                or any(f.d != d for f in phis):
-            raise AlphabetMismatchError("triads must share one alphabet size")
-        self.p = len(seeds)
-        self.d = d
-        self.seeds = seeds
-        self.zetas = zetas
-        self.phis = phis
-        self.label = label
-        self.max_terms = max_terms
-        self.validation = None
-        self._pow: dict[tuple[int, int], Element] = {}
-        if validate:
-            report = validate_green_system(self)
-            self.validation = report
-            if report.failures():
-                raise SystemValidationError(report)
+        super().__init__(seeds, zetas, phis, label, validate, max_terms)
 
-    def green_component(self, alpha: int, n: int) -> Element:
-        """The n-th generator of component alpha (both 1-based)."""
-        if not 1 <= alpha <= self.p:
-            raise IndexRangeError(f"component {alpha} outside 1..{self.p}")
-        if not isinstance(n, int) or n < 1:
-            raise IndexRangeError(f"generator index must be >= 1, got {n}")
-        key = (alpha, n - 1)
-        cached = self._pow.get(key)
-        if cached is None:
-            if n == 1:
-                cached = self.seeds[alpha - 1]
-            else:
-                cached = self.zetas[alpha - 1].apply(self.green_component(alpha, n - 1))
-                cap = config.max_terms_cap(self.max_terms)
-                if len(cached) > cap:
-                    raise ResourceLimitError(len(cached), cap, operation="generator")
-            self._pow[key] = cached
-        return cached
+    def _generator(self, n, component):
+        return functools.reduce(operator.add,
+                                (component(alpha, n) for alpha in range(1, self.p + 1)))
 
-    def parafermion_generator(self, n: int) -> Element:
-        """Sum of the n-th generators of all components."""
-        total = Element.zero(self.d)
-        for alpha in range(1, self.p + 1):
-            total = total + self.green_component(alpha, n)
-        return total
-
-    def parafermion_family(self) -> GeneratorFamily:
-        return GeneratorFamily(self.d, self.parafermion_generator,
-                               label=f"{self.label}+sum", max_terms=self.max_terms)
-
-    def component_family(self, alpha: int) -> GeneratorFamily:
-        return GeneratorFamily(self.d, lambda n: self.green_component(alpha, n),
-                               label=f"{self.label}[{alpha}]", max_terms=self.max_terms)
-
-    def __repr__(self):
-        return f"GreenSystem({self.label}, d={self.d}, p={self.p})"
-
-
-def green_component(g: GreenSystem, alpha: int, n: int) -> Element:
-    return g.green_component(alpha, n)
-
-
-def parafermion_generator(g: GreenSystem, n: int) -> Element:
-    return g.parafermion_generator(n)
+    def _validate(self) -> Report:
+        return validate_green_system(self)
 
 
 # -- constructors -------------------------------------------------------------
@@ -212,76 +156,42 @@ def verify_green_recursive(g: GreenSystem,
     """Per component: anticommutation with its own map; commutation with others."""
     report = Report()
     zero = Element.zero(g.d)
-    monomials = list(iter_monomials(g.d, depth))
-    elements = unit_words(g.d, monomials)
+    monomials, elements = sweep_words(g.d, depth)
     images = [[z.apply(el) for el in elements] for z in g.zetas]
+    words = range(len(monomials))
 
     for a in range(g.p):
-        cert_ok, cert_witness = anticommute_certificate(g.seeds[a], g.zetas[a])
-        report.add("green-recursive.certificate", {"component": a + 1}, cert_ok,
-                   witness=cert_witness)
-        bad = report.scan(
-            "green-recursive.sampled",
-            {"component": a + 1, "depth": depth, "monomials": len(monomials)},
-            range(len(monomials)),
+        certified_scan(
+            report, "green-recursive.", {"component": a + 1},
+            bimodule_certificate(g.seeds[a], g.zetas[a], +1),
+            {"depth": depth, "monomials": len(monomials)}, words,
             lambda idx: anticommutator(g.seeds[a], images[a][idx]).equals(zero),
-            lambda idx: "{a^(%d), z_%d(%s)} != 0" % (a + 1, a + 1, monomials[idx]))
-        if not cert_ok and bad is None:
-            report.add("green-recursive.condition", {"component": a + 1}, False,
-                       status=INCONCLUSIVE)
+            lambda idx: "{a^(%d), z_%d(%s)} != 0" % (a + 1, a + 1, monomials[idx]),
+            always_conclude=False)
+        adjoint_certificate(report, "green-recursive.adjoint", {"component": a + 1}, g.zetas[a])
 
-        sym_ok = g.zetas[a].is_adjoint_compatible()
-        report.add("green-recursive.adjoint", {"component": a + 1}, sym_ok,
-                   witness=None if sym_ok else "sign matrix is not symmetric")
-
-    for a in range(g.p):
-        for b in range(g.p):
-            if a == b:
-                continue
-            cert_ok, cert_witness = commute_certificate(g.seeds[a], g.zetas[b])
-            report.add("green-recursive.cross-certificate",
-                       {"component": a + 1, "map": b + 1}, cert_ok, witness=cert_witness)
-            bad = report.scan(
-                "green-recursive.cross-sampled",
-                {"component": a + 1, "map": b + 1, "depth": depth},
-                range(len(monomials)),
-                lambda idx: commutator(g.seeds[a], images[b][idx]).equals(zero),
-                lambda idx: "[a^(%d), z_%d(%s)] != 0" % (a + 1, b + 1, monomials[idx]))
-            if not cert_ok and bad is None:
-                report.add("green-recursive.cross-condition",
-                           {"component": a + 1, "map": b + 1}, False, status=INCONCLUSIVE)
+    for a, b in itertools.permutations(range(g.p), 2):
+        certified_scan(
+            report, "green-recursive.cross-", {"component": a + 1, "map": b + 1},
+            bimodule_certificate(g.seeds[a], g.zetas[b], -1), {"depth": depth}, words,
+            lambda idx: commutator(g.seeds[a], images[b][idx]).equals(zero),
+            lambda idx: "[a^(%d), z_%d(%s)] != 0" % (a + 1, b + 1, monomials[idx]),
+            always_conclude=False)
     return report
 
 
 def verify_green_normalization(g: GreenSystem,
                                depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report:
     report = Report()
-    monomials = list(iter_monomials(g.d, depth))
-    n = len(monomials)
-    check_sweep_size("green-normalization.sampled", n * n)
-    elements = unit_words(g.d, monomials)
+    words = sweep_words(g.d, depth)
     for a in range(g.p):
-        applicable = is_rho(g.phis[a])
-        if applicable:
-            cert_ok = normalization_matrix_holds(g.zetas[a])
-            report.add("green-normalization.certificate",
-                       {"component": a + 1, "applicable": True}, cert_ok)
-        else:
-            report.add("green-normalization.certificate",
-                       {"component": a + 1, "applicable": False}, False,
-                       status=INCONCLUSIVE)
-        images = [g.zetas[a].apply(el) for el in elements]
-
-        def pair_ok(pair):
-            ix, iy = pair
-            return (images[ix] * images[iy]).equals(
-                g.phis[a].apply(elements[ix] * elements[iy]))
-
-        report.scan("green-normalization.sampled",
-                    {"component": a + 1, "depth": depth, "pairs": n * n},
-                    itertools.product(range(n), range(n)), pair_ok,
-                    lambda pair: "z_%d(%s) z_%d(%s) != phi(product)" % (
-                        a + 1, monomials[pair[0]], a + 1, monomials[pair[1]]))
+        normalization_certificate(report, "green-normalization.certificate",
+                                  {"component": a + 1}, g.zetas[a], is_rho(g.phis[a]),
+                                  witness=False)
+        normalization_sweep(report, "green-normalization.sampled",
+                            {"component": a + 1, "depth": depth}, g.zetas[a], g.phis[a], words,
+                            lambda x, y: "z_%d(%s) z_%d(%s) != phi(product)" % (
+                                a + 1, x, a + 1, y))
     return report
 
 
@@ -299,17 +209,11 @@ def verify_cross_commutation(g: GreenSystem, depth: int = 1) -> Report:
     report = Report()
     zero = Element.zero(g.d)
     pairs_ab = [(a, b) for a in range(g.p) for b in range(a, g.p)]
-    bad_cert = None
-    for a, b in pairs_ab:
-        if not _matrices_commute(g.zetas[a], g.zetas[b], g.d):
-            bad_cert = (a, b)
-            break
-    report.add("cross-commutation.certificate", {"pairs": len(pairs_ab)}, bad_cert is None,
-               witness=None if bad_cert is None else
-               f"sign matrices of maps {bad_cert[0] + 1} and {bad_cert[1] + 1} do not commute")
+    report.scan("cross-commutation.certificate", {"pairs": len(pairs_ab)}, pairs_ab,
+                lambda ab: _matrices_commute(g.zetas[ab[0]], g.zetas[ab[1]], g.d),
+                lambda ab: f"sign matrices of maps {ab[0] + 1} and {ab[1] + 1} do not commute")
 
-    monomials = list(iter_monomials(g.d, depth))
-    elements = unit_words(g.d, monomials)
+    monomials, elements = sweep_words(g.d, depth)
     commuting = [(i, j) for i in range(len(monomials)) for j in range(len(monomials))
                  if commutator(elements[i], elements[j]).equals(zero)]
     candidates = [(a, b, i, j) for a, b in pairs_ab for i, j in commuting]
@@ -327,27 +231,16 @@ def verify_cross_commutation(g: GreenSystem, depth: int = 1) -> Report:
 
 
 def validate_green_system(g: GreenSystem) -> Report:
-    """Construction-time validation from the exact certificates only."""
-    report = verify_green_seed(g)
-    for a in range(g.p):
-        cert_ok, witness = anticommute_certificate(g.seeds[a], g.zetas[a])
-        report.add("green-recursive.certificate", {"component": a + 1}, cert_ok,
-                   witness=witness)
-        sym_ok = g.zetas[a].is_adjoint_compatible()
-        report.add("green-recursive.adjoint", {"component": a + 1}, sym_ok)
-        if is_rho(g.phis[a]):
-            report.add("green-normalization.certificate",
-                       {"component": a + 1, "applicable": True},
-                       normalization_matrix_holds(g.zetas[a]))
-        else:
-            failures = g.phis[a].relation_failures()
-            report.add("endomorphism.relations", {"component": a + 1}, not failures,
-                       witness=failures[0] if failures else None)
-        for b in range(g.p):
-            if a != b:
-                cert_ok, witness = commute_certificate(g.seeds[a], g.zetas[b])
-                report.add("green-recursive.cross-certificate",
-                           {"component": a + 1, "map": b + 1}, cert_ok, witness=witness)
+    """Construction-time validation from the exact certificates only: the
+    triad checks (:func:`cuntz.rfs.validate_triads`), then that each seed
+    commutes with every other component's map and that the maps' sign
+    matrices commute."""
+    report = validate_triads(g, verify_green_seed(g), "component", "green-recursive.",
+                             "green-recursive.adjoint", "green-normalization.certificate")
+    for a, b in itertools.permutations(range(g.p), 2):
+        cert_ok, witness = bimodule_certificate(g.seeds[a], g.zetas[b], -1)
+        report.add("green-recursive.cross-certificate", {"component": a + 1, "map": b + 1},
+                   cert_ok, witness=witness)
     for a in range(g.p):
         for b in range(a, g.p):
             ok = _matrices_commute(g.zetas[a], g.zetas[b], g.d)
@@ -356,27 +249,13 @@ def validate_green_system(g: GreenSystem) -> Report:
     return report
 
 
-def _tensor_components(source):
-    """(alpha, n) -> the n-th generator of component alpha as a tensor
-    (``cuntz.tensor``), for a GreenSystem whose seeds are charge-zero; None
-    for any other source, which keeps its word generators."""
-    if not isinstance(source, GreenSystem) \
-            or not all(is_u1_invariant(s) for s in source.seeds):
-        return None
-    matrices = [z.sandwich_matrix() for z in source.zetas]
-    return lambda alpha, n: sandwich_power(matrices[alpha - 1], source.seeds[alpha - 1],
-                                           n - 1)
-
-
 def verify_green_relations(g: GreenSystem, L: int) -> Report:
     """Component families: fermionic within, commuting across, up to index L.
 
     The predicates run on tensors when the seeds are charge-zero.
     """
     report = Report()
-    component = _tensor_components(g)
-    zero, unit = _zero_and_unit(component is not None, g.d)
-    component = component or g.green_component
+    _, component, zero, unit = operands(g)
     comp = {(a, n): component(a, n)
             for a in range(1, g.p + 1) for n in range(1, L + 1)}
 
@@ -420,14 +299,6 @@ def verify_green_relations(g: GreenSystem, L: int) -> Report:
 # -- parafermion relations -----------------------------------------------------
 
 
-def _pf_generator_fn(source):
-    if hasattr(source, "parafermion_generator"):
-        return source.parafermion_generator
-    if hasattr(source, "generator"):
-        return source.generator
-    return source
-
-
 def verify_trilinear(source, L: int) -> Report:
     """Double-commutator relations for generators 1..L.
 
@@ -444,19 +315,8 @@ def verify_trilinear(source, L: int) -> Report:
     unordered pair.  A GreenSystem with charge-zero seeds is checked on
     tensors, any other source on its word generators.
     """
-    component = _tensor_components(source)
-    if component is None:
-        fn = _pf_generator_fn(source)
-        gens = [fn(n) for n in range(1, L + 1)]
-    else:
-        gens = []
-        for n in range(1, L + 1):
-            total = component(1, n)
-            for alpha in range(2, source.p + 1):
-                total = total + component(alpha, n)
-            gens.append(total)
-    d = gens[0].d
-    zero, _ = _zero_and_unit(component is not None, d)
+    generator, _, zero, _ = operands(source)
+    gens = [generator(n) for n in range(1, L + 1)]
     adjs = [x.adjoint() for x in gens]
     report = Report()
 
@@ -509,12 +369,11 @@ def verify_spectrum_polynomial(source, L: int, p: Optional[int] = None) -> Repor
     """prod_{k=0..p} (N_n + (k - p/2) I) = 0 with N_n = [a_n*, a_n] / 2."""
     if p is None:
         p = source.p
-    fn = _pf_generator_fn(source)
     report = Report()
     half = Fraction(1, 2)
 
     def ok(n):
-        a = fn(n)
+        a = source.generator(n)
         number = commutator(a.adjoint(), a).scale(half)
         unit = identity(a.d)
         product = identity(a.d)
@@ -531,19 +390,13 @@ def verify_parafermion_vacuum(source, L: int, p: Optional[int] = None) -> Report
     """In the standard representation: a_n e_1 = 0 and a_m a_n* e_1 = p delta e_1."""
     if p is None:
         p = source.p
-    fn = _pf_generator_fn(source)
     report = Report()
     vacuum = StateVector.unit(1)
-    gens = [fn(n) for n in range(1, L + 1)]
+    gens = [source.generator(n) for n in range(1, L + 1)]
 
-    bad = None
-    for n in range(L):
-        image = rep_apply(gens[n], vacuum)
-        if not image.is_zero:
-            bad = (n + 1, image)
-            break
-    report.add("pf-vacuum.annihilation", {"L": L}, bad is None,
-               witness=None if bad is None else f"a_{bad[0]} e_1 = {bad[1]}")
+    report.scan("pf-vacuum.annihilation", {"L": L}, range(L),
+                lambda n: rep_apply(gens[n], vacuum).is_zero,
+                lambda n: f"a_{n + 1} e_1 = {rep_apply(gens[n], vacuum)}")
 
     def pair_ok(pair):
         m, n = pair
@@ -609,8 +462,7 @@ def verify_klein_identities(L: int = 3, depth: int = config.DEFAULT_SWEEP_DEPTH)
                witness=None if para.seeds[1].equals(expected) else
                f"a^(2) != (I - 2 a_1* a_1) a_2: {expected.normal_form()}")
 
-    monomials = list(iter_monomials(d, depth))
-    elements = unit_words(d, monomials)
+    monomials, elements = sweep_words(d, depth)
 
     def map_modes(component: int, n: int) -> list[int]:
         if component == 1:
@@ -631,7 +483,7 @@ def verify_klein_identities(L: int = 3, depth: int = config.DEFAULT_SWEEP_DEPTH)
                         component, item[0] - 1, monomials[item[1]]))
 
     def green1_ok(n):
-        lhs = para.green_component(1, n)
+        lhs = para.component(1, n)
         if n == 1:
             rhs = fermi.generator(1)
         else:
@@ -642,7 +494,7 @@ def verify_klein_identities(L: int = 3, depth: int = config.DEFAULT_SWEEP_DEPTH)
                 lambda n: f"component 1 generator {n} mismatch")
 
     def green2_ok(n):
-        lhs = para.green_component(2, n)
+        lhs = para.component(2, n)
         rhs = klein_factor(fermi, [2 * k - 1 for k in range(1, n + 1)]) * fermi.generator(2 * n)
         return lhs.equals(rhs)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from . import config
-from .errors import ResourceLimitError
 
 PASS = "pass"
 FAIL = "fail"
@@ -60,10 +59,10 @@ class Report:
         through the module-level ``sweep_first_failure``, so a wrapper bound
         to that name (``perfbench/trace.py``) sees every sweep.  A sized
         candidate list longer than the term cap is refused before any
-        predicate runs (:func:`check_sweep_size`).
+        predicate runs (:func:`cuntz.config.check_cap`).
         """
         if hasattr(candidates, "__len__"):
-            check_sweep_size(check, len(candidates))
+            config.check_cap(len(candidates), f"sweep {check}", what="candidates")
         bad = sweep_first_failure(predicate, candidates)
         self.add(check, params, bad is None, witness=None if bad is None else render(bad))
         return bad
@@ -103,14 +102,6 @@ class Report:
 
     def __len__(self):
         return len(self.results)
-
-
-def check_sweep_size(check: str, count: int):
-    """Raise ResourceLimitError when a sweep of ``count`` candidates would
-    exceed the term cap (:func:`cuntz.config.max_terms_cap`)."""
-    cap = config.max_terms_cap()
-    if count > cap:
-        raise ResourceLimitError(count, cap, what="candidates", operation=f"sweep {check}")
 
 
 def sweep_first_failure(predicate: Callable, items: Iterable):

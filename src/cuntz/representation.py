@@ -18,10 +18,16 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import config
-from .algebra import Element, Scalar, exact_scalar
-from .errors import IndexRangeError, ResourceLimitError
+from .algebra import Element, Scalar, accumulate, exact_scalar
+from .errors import IndexRangeError
 from .reports import Report
 from .rfs import GeneratorFamily, RfsSystem
+
+
+def _check_index(n) -> int:
+    if not isinstance(n, int) or n < 1:
+        raise IndexRangeError(f"basis index must be a positive integer, got {n!r}")
+    return n
 
 
 class StateVector:
@@ -33,18 +39,7 @@ class StateVector:
         clean: dict[int, Scalar] = {}
         if amps:
             items = amps.items() if hasattr(amps, "items") else amps
-            for n, c in items:
-                if not isinstance(n, int) or n < 1:
-                    raise IndexRangeError(f"basis index must be a positive integer, got {n!r}")
-                c = exact_scalar(c)
-                if not c:
-                    continue
-                acc = clean.get(n)
-                c = c if acc is None else acc + c
-                if c:
-                    clean[n] = c
-                elif n in clean:
-                    del clean[n]
+            accumulate(clean, ((_check_index(n), exact_scalar(c)) for n, c in items))
         self.amps = clean
 
     @classmethod
@@ -59,9 +54,7 @@ class StateVector:
 
     @classmethod
     def unit(cls, n: int) -> "StateVector":
-        if not isinstance(n, int) or n < 1:
-            raise IndexRangeError(f"basis index must be a positive integer, got {n!r}")
-        return cls._make({n: 1})
+        return cls._make({_check_index(n): 1})
 
     @property
     def is_zero(self) -> bool:
@@ -77,15 +70,7 @@ class StateVector:
         return sorted(self.amps.items())
 
     def __add__(self, other: "StateVector") -> "StateVector":
-        out = dict(self.amps)
-        for n, c in other.amps.items():
-            acc = out.get(n)
-            c = c if acc is None else acc + c
-            if c:
-                out[n] = c
-            elif n in out:
-                del out[n]
-        return StateVector._make(out)
+        return StateVector._make(accumulate(dict(self.amps), other.amps.items()))
 
     def __neg__(self) -> "StateVector":
         return StateVector._make({n: -c for n, c in self.amps.items()})
@@ -132,22 +117,13 @@ def apply_generator(i: int, v: StateVector, d: int) -> StateVector:
 
 
 def apply_generator_adjoint(i: int, v: StateVector, d: int) -> StateVector:
-    """s_i*: e_N -> e_m when N = d(m-1)+i, else the term is annihilated."""
+    """s_i*: e_N -> e_m when N = d(m-1)+i, else the term is annihilated.
+
+    Distinct N give distinct m, so no amplitudes merge."""
     if not 1 <= i <= d:
         raise IndexRangeError(f"index {i} outside 1..{d}")
-    out: dict[int, Scalar] = {}
-    for n, c in v.amps.items():
-        q, r = divmod(n - i, d)
-        if r or q < 0:
-            continue
-        m = q + 1
-        acc = out.get(m)
-        c = c if acc is None else acc + c
-        if c:
-            out[m] = c
-        elif m in out:
-            del out[m]
-    return StateVector._make(out)
+    return StateVector._make({(n - i) // d + 1: c for n, c in v.amps.items()
+                              if n >= i and (n - i) % d == 0})
 
 
 def rep_apply(x: Element, v: StateVector) -> StateVector:
@@ -165,6 +141,8 @@ def rep_apply(x: Element, v: StateVector) -> StateVector:
             if not w.amps:
                 break
             w = apply_generator(a, w, d)
+        # Inline, not accumulate: a word meets a basis vector in at most one
+        # image, and a call per word costs rep_apply time.
         for n, c in w.amps.items():
             cc = coeff * c
             acc = total.get(n)
@@ -208,8 +186,8 @@ def rep_generator(family, n: int, v: StateVector, adjoint: bool = False) -> Stat
         written[right].append((sign, left))
     if adjoint:
         seed = seed.adjoint()
-    cap = config.max_terms_cap(family.max_terms)
     total: dict[int, Scalar] = {}
+    checked = 0  # level sizes up to this one are known to lie within the cap
     for index, amp in v.amps.items():
         digits = []
         for _ in range(k):
@@ -220,6 +198,8 @@ def rep_generator(family, n: int, v: StateVector, adjoint: bool = False) -> Stat
         for r in reversed(digits):
             if not w:
                 break
+            # Inline, not accumulate: a level maps few amplitudes, and a call
+            # per level costs fock_build time.
             out: dict[int, Scalar] = {}
             for sign, u in written[r]:
                 for m, c in w.items():
@@ -232,17 +212,11 @@ def rep_generator(family, n: int, v: StateVector, adjoint: bool = False) -> Stat
                         out[key] = cc
                     elif key in out:
                         del out[key]
-            if len(out) > cap:
-                raise ResourceLimitError(len(out), cap, operation="rep_generator")
+            if len(out) > checked:
+                config.check_cap(len(out), "rep_generator", family.max_terms)
+                checked = len(out)
             w = out
-        for m, c in w.items():
-            acc = total.get(m)
-            if acc is not None:
-                c = acc + c
-            if c:
-                total[m] = c
-            elif m in total:
-                del total[m]
+        accumulate(total, w.items())
     return StateVector._make(total)
 
 
@@ -298,14 +272,9 @@ def verify_vacuum(family, n_max: int) -> Report:
     """Check that e_1 is annihilated by generators 1..n_max."""
     report = Report()
     vacuum = StateVector.unit(1)
-    bad = None
-    for n in range(1, n_max + 1):
-        image = rep_generator(family, n, vacuum)
-        if not image.is_zero:
-            bad = (n, image)
-            break
-    report.add("vacuum.annihilation", {"N": n_max}, bad is None,
-               witness=None if bad is None else f"A_{bad[0]} e_1 = {bad[1]}")
+    report.scan("vacuum.annihilation", {"N": n_max}, range(1, n_max + 1),
+                lambda n: rep_generator(family, n, vacuum).is_zero,
+                lambda n: f"A_{n} e_1 = {rep_generator(family, n, vacuum)}")
     return report
 
 

@@ -18,6 +18,15 @@ certificates), plus a sampled sweep over all words up to a configured
 total letter count ("depth").  Certificate failure with a clean sweep is
 reported as inconclusive rather than being silently trusted either way.
 
+Both system kinds are triad systems (:class:`TriadSystem`): p triads of a
+seed, a map and an endomorphism.  A fermion system (:class:`RfsSystem`) is
+the case where every triad shares one map and one endomorphism; an order-p
+parafermion system (``cuntz.parafermion.GreenSystem``) gives each triad its
+own.  The component memo, the tensor dispatch (:func:`operands`), the
+certificate-plus-sweep report (:func:`certified_scan`), the normalization
+pair sweep and the construction-time validation (:func:`validate_triads`)
+are written once, here, for both.
+
 The CAR check of a system with charge-zero seeds runs on tensors
 (``cuntz.tensor``): A_n = z^k(a_i) is the Jordan-Wigner string
 M^{(x)k} (x) a_i of the map's sign matrix M, one term per seed term where
@@ -29,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import config
@@ -37,24 +45,23 @@ from .algebra import (
     Element,
     Monomial,
     Scalar,
+    accumulate,
     anticommutator,
-    exact_scalar,
+    eliminate,
     identity,
     is_u1_invariant,
     isometry,
-    iter_monomials,
+    sweep_words,
     term_sort_key,
-    unit_words,
 )
 from .endomorphisms import Endomorphism, is_rho, rho
 from .errors import (
     AlphabetMismatchError,
     CuntzError,
     IndexRangeError,
-    ResourceLimitError,
     SystemValidationError,
 )
-from .reports import INCONCLUSIVE, Report, check_sweep_size
+from .reports import INCONCLUSIVE, Report, sweep_first_failure
 from .tensor import Tensor, sandwich_power
 
 
@@ -77,26 +84,17 @@ class RecursiveMap:
                 raise IndexRangeError(f"sandwich sign must be +-1, got {sign}")
             if not (1 <= u <= self.d and 1 <= v <= self.d):
                 raise IndexRangeError(f"sandwich indices ({u},{v}) outside 1..{self.d}")
+        object.__setattr__(self, "_matrix",
+                           accumulate({}, (((u, v), sign) for sign, u, v in self.terms)))
 
     def apply(self, x: Element) -> Element:
+        """Sandwich by the net sign matrix: distinct letter pairs and distinct
+        words give distinct words, so no terms merge or cancel."""
         if x.d != self.d:
             raise AlphabetMismatchError(f"d mismatch: {x.d} vs {self.d}")
-        out: dict[Monomial, Scalar] = {}
-        for sign, u, v in self.terms:
-            for m, c in x.terms.items():
-                key = Monomial((u,) + m.create, (v,) + m.annihilate)
-                cc = c if sign > 0 else -c
-                acc = out.get(key)
-                if acc is not None:
-                    cc = acc + cc
-                if cc:
-                    out[key] = cc
-                elif key in out:
-                    del out[key]
-        return Element._make(self.d, out)
-
-    def __call__(self, x: Element) -> Element:
-        return self.apply(x)
+        return Element._make(self.d, {Monomial((u,) + a, (v,) + b): sign * c
+                                      for (u, v), sign in self._matrix.items()
+                                      for (a, b), c in x.terms.items()})
 
     def power(self, n: int, x: Element) -> Element:
         for _ in range(n):
@@ -104,47 +102,19 @@ class RecursiveMap:
         return x
 
     def sandwich_matrix(self) -> dict[tuple[int, int], int]:
-        """Net sign per (left, right) letter pair."""
-        matrix: dict[tuple[int, int], int] = {}
-        for sign, u, v in self.terms:
-            total = matrix.get((u, v), 0) + sign
-            if total:
-                matrix[(u, v)] = total
-            elif (u, v) in matrix:
-                del matrix[(u, v)]
-        return matrix
+        """Net sign per (left, right) letter pair (read-only)."""
+        return self._matrix
 
     def is_adjoint_compatible(self) -> bool:
         """Exact test of z(X)* = z(X*) for all X: the sign matrix is symmetric."""
         matrix = self.sandwich_matrix()
         return all(matrix.get((v, u), 0) == c for (u, v), c in matrix.items())
 
-    def signs(self) -> tuple[int, ...]:
-        return tuple(sign for sign, _, _ in self.terms)
-
-
-def apply_zeta(z: RecursiveMap, x: Element) -> Element:
-    return z.apply(x)
-
-
-def zeta_power(z: RecursiveMap, n: int, x: Element) -> Element:
-    return z.power(n, x)
-
 
 def _matrix_product(left: dict, right: dict, d: int) -> dict:
     """Product of two sandwich sign matrices, as sparse ``(row, column)`` dicts."""
-    out: dict[tuple[int, int], int] = {}
-    for (u, v), a in left.items():
-        for w in range(1, d + 1):
-            b = right.get((v, w), 0)
-            if not b:
-                continue
-            total = out.get((u, w), 0) + a * b
-            if total:
-                out[(u, w)] = total
-            elif (u, w) in out:
-                del out[(u, w)]
-    return out
+    return accumulate({}, (((u, w), a * right[(v, w)]) for (u, v), a in left.items()
+                           for w in range(1, d + 1) if (v, w) in right))
 
 
 def normalization_matrix_holds(z: RecursiveMap) -> bool:
@@ -160,12 +130,7 @@ def normalization_matrix_holds(z: RecursiveMap) -> bool:
     return square == {(i, i): 1 for i in range(1, z.d + 1)}
 
 
-def _pair_key(pair):
-    left, right = pair
-    return (term_sort_key(left), term_sort_key(right))
-
-
-def _bimodule_certificate(seed: Element, z: RecursiveMap, relation_sign: int):
+def bimodule_certificate(seed: Element, z: RecursiveMap, relation_sign: int):
     """Formal expansion of a (anti)commutator with a sandwich map.
 
     Collects {a, z(X)} (relation_sign=+1) or [a, z(X)] (relation_sign=-1)
@@ -175,39 +140,17 @@ def _bimodule_certificate(seed: Element, z: RecursiveMap, relation_sign: int):
     """
     d = seed.d
     pairs: dict[tuple[Monomial, Monomial], Scalar] = {}
-
-    def add(key, c):
-        acc = pairs.get(key)
-        if acc is not None:
-            c = acc + c
-        if c:
-            pairs[key] = c
-        elif key in pairs:
-            del pairs[key]
-
     for sign, u, v in z.terms:
-        factor = sign
-        left = seed * isometry(d, u)
-        right_word = Monomial((), (v,))
-        for m, c in left.terms.items():
-            add((m, right_word), factor * c)
-        right = Element.word(d, (), (v,)) * seed
-        left_word = Monomial((u,), ())
-        factor2 = factor if relation_sign > 0 else -factor
-        for m, c in right.terms.items():
-            add((left_word, m), factor2 * c)
+        right_word, left_word = Monomial((), (v,)), Monomial((u,), ())
+        accumulate(pairs, (((m, right_word), sign * c)
+                           for m, c in (seed * isometry(d, u)).terms.items()))
+        accumulate(pairs, (((left_word, m), sign * relation_sign * c)
+                           for m, c in (Element.word(d, (), (v,)) * seed).terms.items()))
     if not pairs:
         return True, None
-    (lw, rw), c = min(pairs.items(), key=lambda kv: _pair_key(kv[0]))
+    (lw, rw), c = min(pairs.items(),
+                      key=lambda kv: (term_sort_key(kv[0][0]), term_sort_key(kv[0][1])))
     return False, f"leftover {c} * ({lw}) X ({rw})"
-
-
-def anticommute_certificate(seed: Element, z: RecursiveMap):
-    return _bimodule_certificate(seed, z, +1)
-
-
-def commute_certificate(seed: Element, z: RecursiveMap):
-    return _bimodule_certificate(seed, z, -1)
 
 
 class GeneratorFamily:
@@ -223,14 +166,11 @@ class GeneratorFamily:
         self._cache: dict[int, Element] = {}
 
     def generator(self, n: int) -> Element:
-        if not isinstance(n, int) or n < 1:
-            raise IndexRangeError(f"generator index must be >= 1, got {n}")
+        _check_generator_index(n)
         cached = self._cache.get(n)
         if cached is None:
             cached = self._fn(n)
-            cap = config.max_terms_cap(self.max_terms)
-            if len(cached) > cap:
-                raise ResourceLimitError(len(cached), cap, operation="generator")
+            config.check_cap(len(cached), "generator", self.max_terms)
             self._cache[n] = cached
         return cached
 
@@ -238,71 +178,112 @@ class GeneratorFamily:
         return f"GeneratorFamily({self.label}, d={self.d})"
 
 
-class RfsSystem:
-    """A validated recursive fermion system.
+def _check_generator_index(n):
+    if not isinstance(n, int) or n < 1:
+        raise IndexRangeError(f"generator index must be >= 1, got {n}")
 
-    Treat instances as immutable; the only internal mutation is the
-    memo of iterated map applications, keyed by (seed index, power).
+
+class TriadSystem:
+    """p triads (seed a_alpha, map z_alpha, endomorphism phi_alpha) on d letters.
+
+    Component alpha's n-th generator is z_alpha^{n-1}(a_alpha); a subclass
+    says how the generators of the system are made from the components
+    (:meth:`_generator`).  Treat instances as immutable; the only internal
+    mutation is the memo of components, keyed by (alpha, n).
     """
 
-    __slots__ = ("d", "p", "seeds", "zeta", "phi", "label", "max_terms",
-                 "validation", "_pow")
+    __slots__ = ("d", "p", "seeds", "zetas", "phis", "label", "max_terms",
+                 "validation", "_memo")
 
-    def __init__(self, seeds: Sequence[Element], zeta: RecursiveMap, phi: Endomorphism,
-                 label: str = "rfs", validate: bool = True,
-                 max_terms: Optional[int] = None):
-        seeds = tuple(seeds)
-        if not seeds:
-            raise IndexRangeError("a system needs at least one seed")
-        d = zeta.d
-        if any(seed.d != d for seed in seeds) or phi.d != d:
-            raise AlphabetMismatchError("seeds, map and endomorphism must share d")
+    # Whether all triads share one map and endomorphism (a fermion system).
+    shared_map = False
+
+    def __init__(self, seeds: Sequence[Element], zetas: Sequence[RecursiveMap],
+                 phis: Sequence[Endomorphism], label: str, validate: bool,
+                 max_terms: Optional[int]):
+        seeds, zetas, phis = tuple(seeds), tuple(zetas), tuple(phis)
+        if not (len(seeds) == len(zetas) == len(phis)) or not seeds:
+            raise IndexRangeError("need one (seed, map, endomorphism) triad per component")
+        d = zetas[0].d
+        if any(x.d != d for x in seeds + zetas + phis):
+            raise AlphabetMismatchError("seeds, maps and endomorphisms must share d")
         self.d = d
         self.p = len(seeds)
         self.seeds = seeds
-        self.zeta = zeta
-        self.phi = phi
+        self.zetas = zetas
+        self.phis = phis
         self.label = label
         self.max_terms = max_terms
         self.validation = None
-        self._pow: dict[tuple[int, int], Element] = {}
+        self._memo: dict[tuple[int, int], Element] = {}
         if validate:
-            report = validate_system(self)
+            report = self._validate()
             self.validation = report
             if report.failures():
                 raise SystemValidationError(report)
 
-    def zeta_power(self, seed_index: int, power: int) -> Element:
-        key = (seed_index, power)
-        cached = self._pow.get(key)
+    def component(self, alpha: int, n: int) -> Element:
+        """z_alpha^{n-1}(a_alpha), the n-th generator of component alpha (both 1-based)."""
+        if not 1 <= alpha <= self.p:
+            raise IndexRangeError(f"component {alpha} outside 1..{self.p}")
+        _check_generator_index(n)
+        cached = self._memo.get((alpha, n))
         if cached is None:
-            if power == 0:
-                cached = self.seeds[seed_index]
+            if n == 1:
+                cached = self.seeds[alpha - 1]
             else:
-                cached = self.zeta.apply(self.zeta_power(seed_index, power - 1))
-                cap = config.max_terms_cap(self.max_terms)
-                if len(cached) > cap:
-                    raise ResourceLimitError(len(cached), cap, operation="generator")
-            self._pow[key] = cached
+                cached = self.zetas[alpha - 1].apply(self.component(alpha, n - 1))
+                config.check_cap(len(cached), "generator", self.max_terms)
+            self._memo[(alpha, n)] = cached
         return cached
 
+    def tensor_component(self, alpha: int, n: int) -> Tensor:
+        """The same as a tensor, M_alpha^{(x)(n-1)} (x) a_alpha; the seed must be
+        charge-zero."""
+        return sandwich_power(self.zetas[alpha - 1].sandwich_matrix(), self.seeds[alpha - 1],
+                              n - 1)
+
     def generator(self, n: int) -> Element:
-        """The n-th embedded fermion generator, n >= 1."""
-        if not isinstance(n, int) or n < 1:
-            raise IndexRangeError(f"generator index must be >= 1, got {n}")
-        power, seed_index = divmod(n - 1, self.p)
-        return self.zeta_power(seed_index, power)
+        """The n-th generator of the system, n >= 1."""
+        _check_generator_index(n)
+        return self._generator(n, self.component)
 
     def family(self) -> GeneratorFamily:
         return GeneratorFamily(self.d, self.generator, label=self.label,
                                max_terms=self.max_terms)
 
     def __repr__(self):
-        return f"RfsSystem({self.label}, d={self.d}, p={self.p})"
+        return f"{type(self).__name__}({self.label}, d={self.d}, p={self.p})"
 
 
-def embed_generator(sys: RfsSystem, n: int) -> Element:
-    return sys.generator(n)
+class RfsSystem(TriadSystem):
+    """A recursive fermion system: p seeds sharing one map ``zeta`` and one
+    endomorphism ``phi``.  A_{p(n-1)+i} = z^{n-1}(a_i)."""
+
+    __slots__ = ()
+    shared_map = True
+
+    def __init__(self, seeds: Sequence[Element], zeta: RecursiveMap, phi: Endomorphism,
+                 label: str = "rfs", validate: bool = True,
+                 max_terms: Optional[int] = None):
+        seeds = tuple(seeds)
+        super().__init__(seeds, (zeta,) * len(seeds), (phi,) * len(seeds), label, validate,
+                         max_terms)
+
+    @property
+    def zeta(self) -> RecursiveMap:
+        return self.zetas[0]
+
+    @property
+    def phi(self) -> Endomorphism:
+        return self.phis[0]
+
+    def _generator(self, n, component):
+        power, seed_index = divmod(n - 1, self.p)
+        return component(seed_index + 1, power + 1)
+
+    def _validate(self) -> Report:
+        return validate_system(self)
 
 
 # -- constructors ------------------------------------------------------------
@@ -429,39 +410,57 @@ def verify_seed_condition(sys) -> Report:
     return report
 
 
+def adjoint_certificate(report: Report, check: str, params: dict, zeta: RecursiveMap):
+    """The exact certificate of z(X)* = z(X*): the sign matrix is symmetric."""
+    ok = zeta.is_adjoint_compatible()
+    report.add(check, params, ok, witness=None if ok else "sign matrix is not symmetric")
+
+
+def _verdict(certificate_ok: bool, bad) -> tuple[bool, Optional[str]]:
+    """(ok, status) of a condition from its sufficient certificate and the first
+    failure ``bad`` of its sweep: a witness fails it, and a failed certificate
+    without one leaves it inconclusive."""
+    if not certificate_ok and bad is None:
+        return False, INCONCLUSIVE
+    return certificate_ok and bad is None, None
+
+
+def certified_scan(report: Report, prefix: str, params: dict, certificate,
+                   sweep_params: dict, candidates, predicate, render, always_conclude: bool):
+    """Report a condition checked by a certificate and a sampled sweep.
+
+    Adds ``<prefix>certificate`` from the ``(ok, witness)`` pair, then
+    ``<prefix>sampled`` from a :meth:`Report.scan` of the candidates, then
+    the verdict of both (:func:`_verdict`) as ``<prefix>condition``: always
+    with ``always_conclude``, else only when it is inconclusive.
+    """
+    certificate_ok, witness = certificate
+    report.add(prefix + "certificate", params, certificate_ok, witness=witness)
+    bad = report.scan(prefix + "sampled", {**params, **sweep_params}, candidates, predicate,
+                      render)
+    ok, status = _verdict(certificate_ok, bad)
+    if always_conclude or status:
+        report.add(prefix + "condition", params, ok, status=status)
+
+
 def verify_recursive_condition(sys, depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report:
     """Formal certificate plus sampled sweep for the recursive condition."""
     report = Report()
     d = sys.d
-    monomials = list(iter_monomials(d, depth))
-    elements = unit_words(d, monomials)
+    monomials, elements = sweep_words(d, depth)
     images = [sys.zeta.apply(el) for el in elements]
     zero = Element.zero(d)
 
     for i, seed in enumerate(sys.seeds, start=1):
-        cert_ok, cert_witness = anticommute_certificate(seed, sys.zeta)
-        report.add("recursive.certificate", {"seed": i}, cert_ok, witness=cert_witness)
-
-        def sampled_ok(idx):
-            return anticommutator(seed, images[idx]).equals(zero)
-
-        bad = report.scan(
-            "recursive.sampled", {"seed": i, "depth": depth, "monomials": len(monomials)},
-            range(len(monomials)), sampled_ok,
+        certified_scan(
+            report, "recursive.", {"seed": i}, bimodule_certificate(seed, sys.zeta, +1),
+            {"depth": depth, "monomials": len(monomials)}, range(len(monomials)),
+            lambda idx: anticommutator(seed, images[idx]).equals(zero),
             lambda idx: "{a_%d, z(%s)} = %s" % (
-                i, monomials[idx], anticommutator(seed, images[idx]).normal_form()))
-        if cert_ok:
-            status = None
-            ok = bad is None  # certificate is sound, but report a sweep conflict
-        elif bad is None:
-            status, ok = INCONCLUSIVE, False
-        else:
-            status, ok = None, False
-        report.add("recursive.condition", {"seed": i}, ok, status=status)
+                i, monomials[idx], anticommutator(seed, images[idx]).normal_form()),
+            always_conclude=True)
 
-    adjoint_exact = sys.zeta.is_adjoint_compatible()
-    report.add("recursive.adjoint-certificate", {}, adjoint_exact,
-               witness=None if adjoint_exact else "sign matrix is not symmetric")
+    adjoint_certificate(report, "recursive.adjoint-certificate", {}, sys.zeta)
 
     def adjoint_ok(idx):
         return images[idx].adjoint().equals(sys.zeta.apply(elements[idx].adjoint()))
@@ -472,58 +471,65 @@ def verify_recursive_condition(sys, depth: int = config.DEFAULT_SWEEP_DEPTH) -> 
     return report
 
 
-def verify_normalization(sys, depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report:
-    """Matrix certificate (when phi is canonical) plus the pair sweep."""
-    report = Report()
-    d = sys.d
-    applicable = is_rho(sys.phi)
-    if applicable:
-        cert_ok = normalization_matrix_holds(sys.zeta)
-        report.add("normalization.certificate", {"applicable": True}, cert_ok,
-                   witness=None if cert_ok else "contracted sandwich square is not the identity")
-    else:
-        report.add("normalization.certificate", {"applicable": False}, False,
-                   status=INCONCLUSIVE)
+def normalization_certificate(report: Report, check: str, params: dict, zeta: RecursiveMap,
+                              applicable: bool, witness: bool = True):
+    """The exact normalization certificate, which applies when phi is rho; an
+    inapplicable one is inconclusive.  ``witness`` names a failed one."""
+    if not applicable:
+        report.add(check, {**params, "applicable": False}, False, status=INCONCLUSIVE)
+        return
+    ok = normalization_matrix_holds(zeta)
+    report.add(check, {**params, "applicable": True}, ok,
+               witness=None if ok or not witness else
+               "contracted sandwich square is not the identity")
 
-    monomials = list(iter_monomials(d, depth))
+
+def normalization_sweep(report: Report, check: str, params: dict, zeta: RecursiveMap,
+                        phi: Endomorphism, words, render):
+    """One line for z(X) z(Y) = phi(XY) over every ordered pair of sweep words.
+
+    ``words`` is a :func:`sweep_words` pair; ``render`` names a failing pair
+    from its two words.  More pairs than the term cap are refused before any
+    image is formed.
+    """
+    monomials, elements = words
     n = len(monomials)
-    check_sweep_size("normalization.sampled", n * n)
-    elements = unit_words(d, monomials)
-    images = [sys.zeta.apply(el) for el in elements]
-    pairs = list(itertools.product(range(n), range(n)))
+    config.check_cap(n * n, f"sweep {check}", what="candidates")
+    images = [zeta.apply(el) for el in elements]
 
     def pair_ok(pair):
         ix, iy = pair
-        return (images[ix] * images[iy]).equals(sys.phi.apply(elements[ix] * elements[iy]))
+        return (images[ix] * images[iy]).equals(phi.apply(elements[ix] * elements[iy]))
 
-    report.scan("normalization.sampled", {"depth": depth, "pairs": len(pairs)}, pairs, pair_ok,
-                lambda pair: "z(%s) z(%s) != phi(product)" % (
-                    monomials[pair[0]], monomials[pair[1]]))
+    report.scan(check, {**params, "pairs": n * n}, itertools.product(range(n), range(n)),
+                pair_ok, lambda pair: render(monomials[pair[0]], monomials[pair[1]]))
+
+
+def verify_normalization(sys, depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report:
+    """Matrix certificate (when phi is canonical) plus the pair sweep."""
+    report = Report()
+    normalization_certificate(report, "normalization.certificate", {}, sys.zeta,
+                              is_rho(sys.phi))
+    normalization_sweep(report, "normalization.sampled", {"depth": depth}, sys.zeta, sys.phi,
+                        sweep_words(sys.d, depth),
+                        lambda x, y: f"z({x}) z({y}) != phi(product)")
     return report
 
 
-def _zero_and_unit(tensors: bool, d: int):
-    """The zero and unit of tensor or of word operands."""
-    if tensors:
-        return Tensor.zero(d), Tensor.identity(d)
-    return Element.zero(d), identity(d)
+def operands(source):
+    """What the predicates of a check run on: ``(generator, component, zero, unit)``.
 
-
-def _car_operands(family, n_max: int):
-    """Generators 1..n_max with the zero and unit of their kind.
-
-    An RfsSystem whose seeds are charge-zero gives tensors (``cuntz.tensor``),
-    A_n = z^k(a_i) built as one Jordan-Wigner string per seed term.  Any other
-    family gives its generators as words.
+    A triad system whose seeds are charge-zero gives tensors
+    (``cuntz.tensor``): each component generator is one Jordan-Wigner string
+    per seed term, and the system's generators are made from them as from
+    words.  Any other source gives its word generators and components, the
+    reference; a function the source lacks is None.
     """
-    tensors = isinstance(family, RfsSystem) and all(is_u1_invariant(s) for s in family.seeds)
-    if tensors:
-        matrix = family.zeta.sandwich_matrix()
-        gens = [sandwich_power(matrix, family.seeds[i], k)
-                for k, i in (divmod(n, family.p) for n in range(n_max))]
-    else:
-        gens = [family.generator(n) for n in range(1, n_max + 1)]
-    return (gens, *_zero_and_unit(tensors, family.d))
+    if isinstance(source, TriadSystem) and all(is_u1_invariant(s) for s in source.seeds):
+        return (lambda n: source._generator(n, source.tensor_component),
+                source.tensor_component, Tensor.zero(source.d), Tensor.identity(source.d))
+    return (getattr(source, "generator", None), getattr(source, "component", None),
+            Element.zero(source.d), identity(source.d))
 
 
 def verify_car(family, n_max: int) -> Report:
@@ -533,7 +539,8 @@ def verify_car(family, n_max: int) -> Report:
     witness is always rendered from the family's word generators.
     """
     report = Report()
-    gens, zero, unit = _car_operands(family, n_max)
+    generator, _, zero, unit = operands(family)
+    gens = [generator(n) for n in range(1, n_max + 1)]
     adjs = [g.adjoint() for g in gens]
     pairs = [(m, n) for m in range(n_max) for n in range(m, n_max)]
 
@@ -560,40 +567,47 @@ def verify_car(family, n_max: int) -> Report:
     return report
 
 
+def validate_triads(sys, report: Report, key: str, prefix: str, adjoint_check: str,
+                    normalization_check: str) -> Report:
+    """Construction-time validation of a triad system from exact parts only.
+
+    ``report`` holds the seed conditions.  Added to it: per seed, the
+    certificate that it anticommutes with its map (``<prefix>certificate``;
+    a failed one is refuted on the words of length <= 1 when it can be, and
+    is inconclusive otherwise); then per map, once when the triads share
+    it, its adjoint certificate and either the normalization certificate
+    (phi is rho) or phi's defining relations.  Lines of one component carry
+    ``{key: alpha}``.
+    """
+    monomials, elements = sweep_words(sys.d, 1)
+    zero = Element.zero(sys.d)
+    for alpha, seed in enumerate(sys.seeds, start=1):
+        zeta = sys.zetas[alpha - 1]
+        certificate_ok, witness = bimodule_certificate(seed, zeta, +1)
+        bad = None if certificate_ok else sweep_first_failure(
+            lambda idx: anticommutator(seed, zeta.apply(elements[idx])).equals(zero),
+            range(len(monomials)))
+        ok, status = _verdict(certificate_ok, bad)
+        if bad is not None:
+            witness = "{a_%d, z(%s)} != 0" % (alpha, monomials[bad])
+        report.add(prefix + "certificate", {key: alpha}, ok, status=status, witness=witness)
+    for alpha in range(1, 2 if sys.shared_map else sys.p + 1):
+        params = {} if sys.shared_map else {key: alpha}
+        zeta, phi = sys.zetas[alpha - 1], sys.phis[alpha - 1]
+        adjoint_certificate(report, adjoint_check, params, zeta)
+        if is_rho(phi):
+            normalization_certificate(report, normalization_check, params, zeta, True)
+        else:
+            failures = phi.relation_failures()
+            report.add("endomorphism.relations", params, not failures,
+                       witness=failures[0] if failures else None)
+    return report
+
+
 def validate_system(sys) -> Report:
     """Construction-time validation: exact parts only (no deep sweeps)."""
-    report = verify_seed_condition(sys)
-    for i, seed in enumerate(sys.seeds, start=1):
-        cert_ok, cert_witness = anticommute_certificate(seed, sys.zeta)
-        if cert_ok:
-            report.add("recursive.certificate", {"seed": i}, True)
-            continue
-        # The certificate is only sufficient; look for a cheap refutation
-        # before declaring the construction undecided.
-        bad = None
-        monomials = list(iter_monomials(sys.d, 1))
-        for m, el in zip(monomials, unit_words(sys.d, monomials)):
-            if not anticommutator(seed, sys.zeta.apply(el)).equals(Element.zero(sys.d)):
-                bad = m
-                break
-        if bad is not None:
-            report.add("recursive.certificate", {"seed": i}, False,
-                       witness="{a_%d, z(%s)} != 0" % (i, bad))
-        else:
-            report.add("recursive.certificate", {"seed": i}, False,
-                       status=INCONCLUSIVE, witness=cert_witness)
-    adjoint_exact = sys.zeta.is_adjoint_compatible()
-    report.add("recursive.adjoint-certificate", {}, adjoint_exact,
-               witness=None if adjoint_exact else "sign matrix is not symmetric")
-    if is_rho(sys.phi):
-        cert_ok = normalization_matrix_holds(sys.zeta)
-        report.add("normalization.certificate", {"applicable": True}, cert_ok,
-                   witness=None if cert_ok else "contracted sandwich square is not the identity")
-    else:
-        failures = sys.phi.relation_failures()
-        report.add("endomorphism.relations", {}, not failures,
-                   witness=failures[0] if failures else None)
-    return report
+    return validate_triads(sys, verify_seed_condition(sys), "seed", "recursive.",
+                           "recursive.adjoint-certificate", "normalization.certificate")
 
 
 def verify_all(sys, depth: int = config.DEFAULT_SWEEP_DEPTH,
@@ -630,48 +644,16 @@ def _level_coordinates(el: Element, k: int, d: int) -> Optional[dict[Monomial, S
     nf = el.normal_form()
     if nf.is_zero:
         return None
-    coords: dict[Monomial, Scalar] = {}
-    for m, c in nf.terms.items():
-        gap = k - len(m.create)
-        if m.excess != 0 or gap < 0:
-            raise CuntzError(f"word {m} leaves the level-{k} charge-zero space")
-        if gap == 0:
-            keys = (m,)
-        else:
-            keys = (Monomial(m.create + w, m.annihilate + w)
-                    for w in itertools.product(range(1, d + 1), repeat=gap))
-        for key in keys:
-            acc = coords.get(key)
-            cc = c if acc is None else acc + c
-            if cc:
-                coords[key] = cc
-            elif key in coords:
-                del coords[key]
-    return coords or None
 
+    def raised():
+        for m, c in nf.terms.items():
+            gap = k - len(m.create)
+            if m.excess != 0 or gap < 0:
+                raise CuntzError(f"word {m} leaves the level-{k} charge-zero space")
+            for w in itertools.product(range(1, d + 1), repeat=gap):
+                yield Monomial(m.create + w, m.annihilate + w), c
 
-def _reduce_insert(rows: dict[Monomial, dict[Monomial, Scalar]], coords) -> bool:
-    """Reduce ``coords`` against the pivot rows; keep what is left as a new row.
-
-    Each row is scaled so its pivot (its least word) is 1.  Returns whether
-    a row was added, i.e. whether ``coords`` was independent of the rows.
-    """
-    while coords:
-        pivot = min(coords, key=term_sort_key)
-        row = rows.get(pivot)
-        if row is None:
-            # Fraction, not int, division: the row stays exact.
-            inverse = 1 / Fraction(coords[pivot])
-            rows[pivot] = {m: exact_scalar(c * inverse) for m, c in coords.items()}
-            return True
-        factor = coords[pivot]
-        for m, c in row.items():
-            cc = coords.get(m, 0) - factor * c
-            if cc:
-                coords[m] = cc
-            elif m in coords:
-                del coords[m]
-    return False
+    return accumulate({}, raised()) or None
 
 
 def span_rank(generators: Sequence[Element], k: int, max_len: int,
@@ -679,7 +661,8 @@ def span_rank(generators: Sequence[Element], k: int, max_len: int,
     """Exact rank of words in the given charge-zero generators at level k.
 
     Products of up to ``max_len`` factors are reduced into the level-k
-    word basis (dimension d^{2k}) by fraction-exact Gaussian elimination.
+    word basis (dimension d^{2k}) by fraction-exact Gaussian elimination
+    (:func:`cuntz.algebra.eliminate`).
     """
     if k < 1:
         raise IndexRangeError(f"k must be >= 1, got {k}")
@@ -687,16 +670,15 @@ def span_rank(generators: Sequence[Element], k: int, max_len: int,
         raise IndexRangeError("need at least one generator")
     d = generators[0].d
     expected = d ** (2 * k)
-    cap = basis_cap if basis_cap is not None else config.DEFAULT_SPAN_BASIS_CAP
-    if expected > cap:
-        raise ResourceLimitError(expected, cap, what="basis size")
+    config.check_cap(expected, None, basis_cap if basis_cap is not None
+                     else config.DEFAULT_SPAN_BASIS_CAP, what="basis size")
     gens = list(generators)
 
-    rows: dict[Monomial, dict[Monomial, Scalar]] = {}
+    basis: dict = {}
     considered = 0
     queue = [(identity(d), 0)]
-    _reduce_insert(rows, _level_coordinates(identity(d), k, d))
-    while queue and len(rows) < expected:
+    eliminate(basis, _level_coordinates(identity(d), k, d))
+    while queue and len(basis) < expected:
         frontier, length = queue.pop(0)
         if length >= max_len:
             continue
@@ -704,11 +686,15 @@ def span_rank(generators: Sequence[Element], k: int, max_len: int,
             product = frontier * g
             considered += 1
             coords = _level_coordinates(product, k, d) if product else None
-            if coords is not None and _reduce_insert(rows, coords):
+            if coords is None:
+                continue
+            rank = len(basis)
+            eliminate(basis, coords)
+            if len(basis) > rank:  # the product is independent of the rows so far
                 queue.append((product, length + 1))
-                if len(rows) == expected:
+                if len(basis) == expected:
                     break
-    return SpanResult(len(rows), expected, len(rows) == expected, considered)
+    return SpanResult(len(basis), expected, len(basis) == expected, considered)
 
 
 def span_dimension_check(sys, k: int, basis_cap: Optional[int] = None) -> SpanResult:

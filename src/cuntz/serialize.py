@@ -139,7 +139,7 @@ def _phi_to_json(phi: Endomorphism, d: int):
 def _phi_from_json(raw, d: int) -> Endomorphism:
     if raw is None or raw == "rho":
         return rho(d)
-    _expect(isinstance(raw, dict) and "images" in raw,
+    _expect(isinstance(raw, dict) and isinstance(raw.get("images"), list),
             "'phi' must be \"rho\" or {\"images\": [..]}")
     images = [element_from_dict(entry) for entry in raw["images"]]
     return Endomorphism(images)
@@ -170,8 +170,6 @@ def rfs_from_dict(obj, validate: bool = True) -> RfsSystem:
     try:
         return RfsSystem(seeds, zeta, phi, label=obj.get("label", "json-rfs"),
                          validate=validate)
-    except SchemaError:
-        raise
     except CuntzError:
         raise
     except Exception as exc:  # malformed structure that slipped through
@@ -230,14 +228,15 @@ def system_from_dict(obj, validate: bool = True):
 def system_from_spec(spec: str, validate: bool = True):
     """Resolve a CLI system spec: a built-in name or a JSON file path.
 
-    Built-ins: ``std-o2``, ``std-rfs-p:<p>``, ``std-rpfs:<p>``.
+    Built-ins: ``std-o2``, ``std-rfs-p:<p>``, ``std-rpfs:<p>``.  ``validate``
+    applies to built-ins and files alike.
     """
     if spec == "std-o2":
-        return standard_rfs_o2()
+        return standard_rfs_o2(validate=validate)
     if spec.startswith("std-rfs-p:"):
-        return standard_rfs_p(_parse_order(spec))
+        return standard_rfs_p(_parse_order(spec), validate=validate)
     if spec.startswith("std-rpfs:"):
-        return standard_rpfs_p(_parse_order(spec))
+        return standard_rpfs_p(_parse_order(spec), validate=validate)
     if not os.path.exists(spec):
         raise SchemaError(f"unknown system spec {spec!r} (not a built-in, not a file)")
     with open(spec, "r", encoding="utf-8") as handle:

@@ -21,11 +21,9 @@ algebra of :mod:`cuntz.algebra` stays the reference.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import config
-from .algebra import Element, Scalar, exact_scalar, is_u1_invariant
-from .errors import CuntzError, ResourceLimitError
+from .algebra import Element, Scalar, accumulate, eliminate, exact_scalar, is_u1_invariant
+from .errors import CuntzError
 
 # A d x d matrix: its nonzero entries (row, column, value), sorted, with
 # letters 1..d as indices.  The empty tuple is the zero matrix.
@@ -58,64 +56,11 @@ def _transpose(a: Matrix) -> Matrix:
     return tuple(sorted((j, i, c) for i, j, c in a))
 
 
-def _accumulate(out: dict, sites: Sites, c: Scalar, unit: Matrix):
-    """Add c times ``sites`` to ``out``, dropping trailing identity factors."""
+def _trimmed(sites: Sites, unit: Matrix) -> Sites:
+    """``sites`` without its trailing identity factors."""
     while sites and sites[-1] == unit:
         sites = sites[:-1]
-    acc = out.get(sites)
-    if acc is not None:
-        c = acc + c
-    if c:
-        out[sites] = c
-    elif acc is not None:
-        del out[sites]
-
-
-def _sparse_sum(left: dict, right: dict) -> dict:
-    out = dict(left)
-    for key, c in right.items():
-        acc = out.get(key)
-        c = c if acc is None else acc + c
-        if c:
-            out[key] = c
-        elif acc is not None:
-            del out[key]
-    return out
-
-
-def _eliminate(basis: dict, vec: dict) -> dict:
-    """Coordinates of ``vec`` over ``basis``, which grows when ``vec`` leaves its span.
-
-    ``basis`` maps a pivot to ``(index, row)``: the row's pivot entry is 1 and
-    its other keys are larger.  Reducing ``vec`` at its least key each time
-    collects its coordinates; what is left becomes a new row.  ``vec`` is
-    consumed.
-    """
-    coords: dict[int, Scalar] = {}
-    while vec:
-        pivot = min(vec)
-        c = vec[pivot]
-        entry = basis.get(pivot)
-        if entry is None:
-            if c == -1:
-                vec = {key: -v for key, v in vec.items()}
-            elif c != 1:
-                # Fraction, not int, division: the row stays exact.
-                inverse = 1 / Fraction(c)
-                vec = {key: exact_scalar(v * inverse) for key, v in vec.items()}
-            index = len(basis)
-            basis[pivot] = (index, vec)
-            coords[index] = c
-            return coords
-        index, row = entry
-        coords[index] = c
-        for key, v in row.items():
-            cc = vec.get(key, 0) - c * v
-            if cc:
-                vec[key] = cc
-            elif key in vec:
-                del vec[key]
-    return coords
+    return sites
 
 
 class Tensor:
@@ -151,23 +96,21 @@ class Tensor:
         unit = _identity(x.d)
         for (create, annihilate), c in x.terms.items():
             if not create:
-                _accumulate(out, (), c, unit)
+                out[()] = c  # the one identity word
                 continue
             prefix = tuple(((a, b, 1),) for a, b in zip(create[:-1], annihilate[:-1]))
             last.setdefault(prefix, {})[(create[-1], annihilate[-1])] = c
-        for prefix, entries in last.items():
-            _accumulate(out, prefix + (_matrix(entries),), 1, unit)
+        accumulate(out, ((_trimmed(prefix + (_matrix(entries),), unit), 1)
+                         for prefix, entries in last.items()))
         return cls._capped(x.d, out)
 
     @classmethod
     def _capped(cls, d: int, terms: dict) -> "Tensor":
-        cap = config.max_terms_cap()
-        if len(terms) > cap:
-            raise ResourceLimitError(len(terms), cap, operation="tensor")
+        config.check_cap(len(terms), "tensor")
         return cls(d, terms)
 
     def __add__(self, other: "Tensor") -> "Tensor":
-        return Tensor._capped(self.d, _sparse_sum(self.terms, other.terms))
+        return Tensor._capped(self.d, accumulate(dict(self.terms), other.terms.items()))
 
     def __neg__(self) -> "Tensor":
         return Tensor(self.d, {s: -c for s, c in self.terms.items()})
@@ -185,21 +128,27 @@ class Tensor:
         """Site by site; a pair of terms with a zero site product is dropped."""
         unit = _identity(self.d)
         products: dict[tuple[Matrix, Matrix], Matrix] = {}
-        out: dict[Sites, Scalar] = {}
-        for sa, ca in self.terms.items():
-            for sb, cb in other.terms.items():
-                sites = []
-                for pair in zip(sa, sb):
-                    ab = products.get(pair)
-                    if ab is None:
-                        ab = products[pair] = _matmul(*pair)
-                    if not ab:
-                        break
-                    sites.append(ab)
-                else:
-                    n = len(sites)
-                    _accumulate(out, (*sites, *sa[n:], *sb[n:]), ca * cb, unit)
-        return Tensor._capped(self.d, out)
+
+        def pairs():
+            for sa, ca in self.terms.items():
+                for sb, cb in other.terms.items():
+                    sites = []
+                    for pair in zip(sa, sb):
+                        ab = products.get(pair)
+                        if ab is None:
+                            ab = products[pair] = _matmul(*pair)
+                        if not ab:
+                            break
+                        sites.append(ab)
+                    else:
+                        # Past the shorter operand the longer one's factors stay.
+                        n = len(sites)
+                        sites.extend(sa[n:] or sb[n:])
+                        while sites and sites[-1] == unit:
+                            sites.pop()
+                        yield tuple(sites), ca * cb
+
+        return Tensor._capped(self.d, accumulate({}, pairs()))
 
     def adjoint(self) -> "Tensor":
         """The *-involution: every site factor transposed."""
@@ -247,7 +196,7 @@ class Tensor:
                 key = sites[k:]
                 seen = merged.get(key)
                 merged[key] = (sites, row) if seen is None else (
-                    sites, _sparse_sum(seen[1], row))
+                    sites, accumulate(seen[1], row.items()))
             cols = [col for col in merged.values() if col[1]]
             if k == n or not cols:
                 return not cols
@@ -262,7 +211,7 @@ class Tensor:
                     base = j * dd - d - 1
                     for a, b, y in sites[k]:
                         vec[base + a * d + b] = x * y
-                coords = _eliminate(basis, vec)
+                coords = eliminate(basis, vec)
                 if coords:
                     extended.append((sites, coords))
             cols = extended
@@ -282,8 +231,6 @@ def sandwich_power(matrix: dict[tuple[int, int], int], seed: Element, k: int) ->
     base = Tensor.from_element(seed)
     string = (_matrix(matrix),) * k
     unit = _identity(seed.d)
-    out: dict[Sites, Scalar] = {}
-    for sites, c in base.terms.items():
-        _accumulate(out, string + sites, c, unit)
-    return Tensor._capped(seed.d, out)
+    return Tensor._capped(seed.d, accumulate(
+        {}, ((_trimmed(string + sites, unit), c) for sites, c in base.terms.items())))
 

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from cuntz import config, standard_rfs_o2, standard_rfs_p, standard_rpfs2
+from cuntz import standard_rfs_o2, standard_rfs_p, standard_rpfs2
 
 
 @pytest.fixture
 def rng():
-    return random.Random(config.DEFAULT_RNG_SEED)
+    return random.Random(271828)
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,7 @@
 
 Every check is exact (rational arithmetic, no tolerances); one line per
 criterion is printed so `pytest tests/test_acceptance.py -v -s` doubles
-as the acceptance report.  The randomized sweep (A9) uses the seed
-recorded in `cuntz.config`.
+as the acceptance report.  The randomized sweep (A9) uses a fixed seed.
 """
 
 import itertools
@@ -16,7 +15,6 @@ from cuntz import (
     anticommutator,
     commutator,
     compose_with_endomorphism,
-    config,
     fock_build,
     fock_index,
     grade_decompose,
@@ -141,7 +139,7 @@ def test_a5_parafermion_relations():
     system = standard_rpfs2()
     ok = True
 
-    gens = [system.parafermion_generator(n) for n in range(1, 5)]
+    gens = [system.generator(n) for n in range(1, 5)]
     adjs = [a.adjoint() for a in gens]
     zero = Element.zero(4)
     for l in range(4):
@@ -155,7 +153,7 @@ def test_a5_parafermion_relations():
 
     unit = identity(4)
     for n in range(1, 4):
-        a = system.parafermion_generator(n)
+        a = system.generator(n)
         number = commutator(a.adjoint(), a).scale(Fraction(1, 2))
         product = (number - unit) * number * (number + unit)
         if not product.equals(zero):
@@ -205,7 +203,7 @@ def test_a8_bogoliubov_vacuum_shift():
 
 
 def test_a9_oracle_coherence():
-    rng = random.Random(config.DEFAULT_RNG_SEED)
+    rng = random.Random(271828)
     pool = [random_element(rng, 2, max_length=3) for _ in range(200)]
     ok = True
     for x in pool:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cuntz import Element, Monomial, standard_rfs_o2, standard_rfs_p
+from cuntz import Element, Monomial, standard_rfs_p
 from cuntz.cli import main
 from cuntz.serialize import element_to_dict, rfs_to_dict, vector_to_dict
 from cuntz.representation import StateVector
@@ -325,16 +325,13 @@ class TestMaxTermsFlag:
         assert out == ""
         assert "cap 1 in normal_form" in err
 
-    def test_flag_caps_tensor_products(self, capsys, tmp_path):
-        # CAR runs on tensors: {A_1, A_1*} = e11 + e22 has two terms.  A JSON
-        # system is not validated on verify, so no normal form runs first.
-        path = tmp_path / "std-o2.json"
-        path.write_text(json.dumps(rfs_to_dict(standard_rfs_o2())))
-        code, out, err = run(capsys, "verify", "--system", str(path), "--suite", "car",
-                             "--N", "1", "--max-terms", "1")
+    def test_flag_caps_tensor_products(self, capsys):
+        # CAR runs on tensors: {A_1, A_1*} = e11 + e22 has two terms.  verify
+        # does not validate a built-in system, so no normal form runs first.
+        code, out, err = run(capsys, *self.CAR, "--max-terms", "1")
         assert code == 3
         assert out == ""
-        assert "terms count 2 exceeds cap 1 in tensor" in err
+        assert err.strip() == "resource cap: terms count 2 exceeds cap 1 in tensor"
 
     def test_flag_matches_env(self, capsys, monkeypatch):
         code_flag, _, err_flag = run(capsys, *self.CAR, "--max-terms", "1")
@@ -347,6 +344,50 @@ class TestMaxTermsFlag:
         code, out, _ = run(capsys, *self.CAR)
         assert code == 0
         assert "[PASS]" in out
+
+
+class TestLoadValidation:
+    """verify loads built-in and JSON systems unvalidated; embed and fock validate."""
+
+    @pytest.mark.parametrize("spec", ["std-o2", "std-rfs-p:3", "std-rpfs:3"])
+    def test_verify_does_not_validate_builtins(self, capsys, monkeypatch, spec):
+        from cuntz import parafermion, rfs
+
+        def refuse(system):
+            raise AssertionError("a built-in system was validated")
+
+        monkeypatch.setattr(rfs, "validate_system", refuse)
+        monkeypatch.setattr(parafermion, "validate_green_system", refuse)
+        code, _, _ = run(capsys, "verify", "--system", spec, "--suite", "seed")
+        assert code == 0
+
+    @pytest.mark.parametrize("command", [("embed", "--n", "1"), ("fock", "--modes", "1")])
+    def test_embed_and_fock_validate_builtins(self, capsys, monkeypatch, command):
+        from cuntz import rfs
+
+        seen = []
+        validate = rfs.validate_system
+        monkeypatch.setattr(rfs, "validate_system", lambda s: seen.append(s) or validate(s))
+        code, _, _ = run(capsys, command[0], "--system", "std-o2", *command[1:])
+        assert code == 0
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("kind", ["rfs", "rpfs"])
+    def test_phi_images_not_a_list_exits_2(self, capsys, tmp_path, kind):
+        seed = element_to_dict(Element.word(2, (1,), (2,)))
+        zeta = [{"sign": 1, "left": 1, "right": 1}, {"sign": -1, "left": 2, "right": 2}]
+        phi = {"images": 5}
+        if kind == "rfs":
+            payload = {"kind": "rfs", "d": 2, "seeds": [seed], "zeta": zeta, "phi": phi}
+        else:
+            payload = {"kind": "rpfs", "d": 2,
+                       "triads": [{"seed": seed, "zeta": zeta, "phi": phi}]}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", "--system", str(path), "--suite", "seed")
+        assert code == 2
+        assert out == ""
+        assert err.strip() == 'error: \'phi\' must be "rho" or {"images": [..]}'
 
 
 class TestSweepBudget:

@@ -10,7 +10,6 @@ from cuntz import (
     EndomorphismValidationError,
     Endomorphism,
     Monomial,
-    apply_endomorphism,
     canonical_endomorphism,
     identity,
     identity_endomorphism,
@@ -91,7 +90,7 @@ def test_multiplicativity_and_star(rng):
 
 def test_apply_endomorphism_matches_method():
     x = Element.word(2, (1,), (2,))
-    assert apply_endomorphism(rho(2), x) == rho(2).apply(x)
+    assert rho(2)(x) == rho(2).apply(x)
 
 
 def test_mismatched_d_rejected():

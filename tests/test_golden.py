@@ -5,7 +5,9 @@ verify files were recorded before the canonical endomorphism was applied in
 sandwich form; the fock and vacuum files before generators acted on Fock
 vectors in sandwich form; the std-rpfs:3 parafermion and flipped Green
 files before every sweep went through ``Report.scan``; the CAR, Green and
-trilinear files before those checks ran on tensors of matrices.  Refactors must
+trilinear files before those checks ran on tensors of matrices; the
+std-rfs-p:3 and std-rpfs:3 suites before both system kinds shared one triad
+core.  Refactors must
 reproduce them byte for byte, exit code included.  A deliberate change of
 output rewrites the file with the command's output.
 """
@@ -84,6 +86,10 @@ CASES = {
     "std-rpfs3-trilinear-L3": (["--system", "std-rpfs:3", "--suite", "trilinear",
                                 "--L", "3"], 0),
     "negative-control-car-N4": (["--system", None, "--suite", "car", "--N", "4"], 1),
+    "std-rfs-p3-all-depth2": (["--system", "std-rfs-p:3", "--suite", "all", "--depth", "2"], 0),
+    "std-rpfs3-all-L3": (["--system", "std-rpfs:3", "--suite", "all", "--L", "3"], 0),
+    "std-rpfs3-recursive-depth2": (["--system", "std-rpfs:3", "--suite", "recursive",
+                                    "--depth", "2"], 0),
 }
 
 

@@ -76,7 +76,7 @@ def test_std_o2_generator_products(std_o2, m):
 
 def test_std_rpfs3_component_products():
     system = standard_rpfs_p(3)
-    gens = [system.green_component(alpha, n) for alpha in range(1, 4) for n in (1, 2)]
+    gens = [system.component(alpha, n) for alpha in range(1, 4) for n in (1, 2)]
     gens += [g.adjoint() for g in gens]
     for x in gens:
         for y in gens:

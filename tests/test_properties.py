@@ -199,16 +199,16 @@ def level_one(d):
 @given(st.lists(level_one(2), min_size=1, max_size=3), scale_factors.filter(bool))
 def test_span_rank_rows_are_exact(gens, k):
     tables = []
-    reduce_insert = rfs_module._reduce_insert
+    eliminate = rfs_module.eliminate
 
     def recording(rows, coords):
         tables.append(rows)
-        return reduce_insert(rows, coords)
+        return eliminate(rows, coords)
 
-    with mock.patch.object(rfs_module, "_reduce_insert", recording):
+    with mock.patch.object(rfs_module, "eliminate", recording):
         rank = span_rank(gens, 1, 2).rank
         assert span_rank([g.scale(k) for g in gens], 1, 2).rank == rank
-    assert all(stored_exactly(row.values()) for rows in tables for row in rows.values())
+    assert all(stored_exactly(row.values()) for rows in tables for _, row in rows.values())
 
 
 @common

@@ -12,11 +12,10 @@ from cuntz import (
     RecursiveMap,
     ResourceLimitError,
     RfsSystem,
+    SpanResult,
     SystemValidationError,
     anticommutator,
-    apply_zeta,
     compose_with_endomorphism,
-    embed_generator,
     generalized_rfs_o2d,
     identity,
     is_u1_invariant,
@@ -32,7 +31,6 @@ from cuntz import (
     verify_normalization,
     verify_recursive_condition,
     verify_seed_condition,
-    zeta_power,
 )
 
 def flip_seed_sign(system, seed_index, term_index):
@@ -71,13 +69,13 @@ class TestStandardO2:
         assert verify_normalization(std_o2, depth=2).ok
 
     def test_first_generator_is_seed(self, std_o2):
-        assert embed_generator(std_o2, 1) == std_o2.seeds[0]
+        assert std_o2.generator(1) == std_o2.seeds[0]
 
     def test_second_generator_frozen_expansion(self, std_o2):
         expected = Element(2, {Monomial((1, 1), (1, 2)): 1, Monomial((2, 1), (2, 2)): -1})
         assert std_o2.generator(2) == expected
         # independent check: A_2 = z(a) computed by the bare map
-        assert apply_zeta(std_o2.zeta, std_o2.seeds[0]) == expected
+        assert std_o2.zeta.apply(std_o2.seeds[0]) == expected
 
     def test_term_count_growth(self, std_o2):
         for n in range(1, 11):
@@ -85,8 +83,8 @@ class TestStandardO2:
 
     def test_zeta_power_matches_free_iteration(self, std_o2):
         a = std_o2.seeds[0]
-        assert zeta_power(std_o2.zeta, 0, a) == a
-        assert zeta_power(std_o2.zeta, 3, a) == std_o2.generator(4)
+        assert std_o2.zeta.power(0, a) == a
+        assert std_o2.zeta.power(3, a) == std_o2.generator(4)
 
     def test_generators_store_int_coefficients(self):
         system = standard_rfs_o2()
@@ -149,7 +147,7 @@ class TestStandardRfsP:
                                             Monomial((3,), (4,)): 1})
         assert rfs2.seeds[1] == Element(4, {Monomial((1,), (3,)): 1,
                                             Monomial((2,), (4,)): -1})
-        assert rfs2.zeta.signs() == (1, -1, -1, 1)
+        assert tuple(s for s, _, _ in rfs2.zeta.terms) == (1, -1, -1, 1)
 
     def test_p3_passes_all_suites(self, rfs3):
         assert verify_seed_condition(rfs3).ok
@@ -166,7 +164,7 @@ class TestStandardRfsP:
     def test_generator_indexing(self, rfs2):
         # n-1 = p(q-1) + (i-1): n=2 -> seed 2, n=3 -> z(a_1)
         assert rfs2.generator(2) == rfs2.seeds[1]
-        assert rfs2.generator(3) == apply_zeta(rfs2.zeta, rfs2.seeds[0])
+        assert rfs2.generator(3) == rfs2.zeta.apply(rfs2.seeds[0])
 
     def test_growth_law(self, rfs2, rfs3):
         # term count of z^{n-1}(a_i) is (number of sandwiches)^{n-1} x seed terms
@@ -174,7 +172,7 @@ class TestStandardRfsP:
             base = len(system.seeds[0])
             sandwiches = len(system.zeta.terms)
             for n in range(1, 4):
-                assert len(system.zeta_power(0, n - 1)) == base * sandwiches ** (n - 1)
+                assert len(system.component(1, n)) == base * sandwiches ** (n - 1)
 
 
 class TestCar:
@@ -331,6 +329,16 @@ class TestSpanDimension:
         result = span_dimension_check(rfs2, 1)
         assert (result.rank, result.expected, result.complete) == (16, 16, True)
 
+    @pytest.mark.parametrize("system, k, expected", [
+        ("std-o2", 1, SpanResult(4, 4, True, 4)),
+        ("std-o2", 2, SpanResult(16, 16, True, 48)),
+        ("std-rfs-p:2", 1, SpanResult(16, 16, True, 48)),
+    ])
+    def test_span_result_is_pinned(self, std_o2, rfs2, system, k, expected):
+        # Every field, products_considered included: the elimination order
+        # must not change which products count as independent.
+        assert span_dimension_check(std_o2 if system == "std-o2" else rfs2, k) == expected
+
     def test_basis_cap_guard(self, std_o2):
         with pytest.raises(ResourceLimitError):
             span_dimension_check(std_o2, 3, basis_cap=16)
@@ -339,13 +347,13 @@ class TestSpanDimension:
         # Scaled generators give pivots other than +-1, so the elimination
         # divides; every division must stay exact, so no row value is a float.
         tables = []
-        reduce_insert = rfs_module._reduce_insert
+        eliminate = rfs_module.eliminate
 
         def recording(rows, coords):
             tables.append(rows)
-            return reduce_insert(rows, coords)
+            return eliminate(rows, coords)
 
-        monkeypatch.setattr(rfs_module, "_reduce_insert", recording)
+        monkeypatch.setattr(rfs_module, "eliminate", recording)
         gens = [std_o2.generator(n) for n in (1, 2)]
         gens += [g.adjoint() for g in gens]
         unscaled = span_rank(gens, 2, 4)
@@ -353,11 +361,11 @@ class TestSpanDimension:
         for factors in ((2, 2, 2, 2), (3, 3, 3, 3), (2, 3, Fraction(1, 3), -2)):
             scaled = span_rank([g.scale(k) for g, k in zip(gens, factors)], 2, 4)
             assert scaled.rank == unscaled.rank
-        values = [c for rows in tables for row in rows.values() for c in row.values()]
+        values = [c for rows in tables for _, row in rows.values() for c in row.values()]
         assert values and all(type(c) in (int, Fraction) for c in values)
         # Each row is scaled so that its pivot is 1.
         for rows in tables:
-            assert all(row[pivot] == 1 for pivot, row in rows.items())
+            assert all(row[pivot] == 1 for pivot, (_, row) in rows.items())
 
 
 class TestResourceCaps:
@@ -391,6 +399,50 @@ class TestResourceCaps:
         with pytest.raises(ResourceLimitError) as err:
             system.generator(2)
         assert err.value.cap == 0
+
+
+# std-o2 with the identity endomorphism, given by its images, as phi: valid.
+IDENTITY_PHI = {
+    "kind": "rfs", "d": 2, "p": 1,
+    "seeds": [{"d": 2, "terms": [{"coeff": "1", "create": [1], "annihilate": [2]}]}],
+    "zeta": [{"sign": 1, "left": 1, "right": 1}, {"sign": -1, "left": 2, "right": 2}],
+    "phi": {"images": [{"d": 2, "terms": [{"coeff": "1", "create": [i], "annihilate": []}]}
+                       for i in (1, 2)]},
+}
+# std-o2 with the charge-one term s1 s1 s2* added to the seed: a* a is no longer
+# a projection, so the seed conditions fail.
+CHARGED_SEED = {**IDENTITY_PHI, "phi": "rho", "seeds": [{"d": 2, "terms": [
+    {"coeff": "1", "create": [1], "annihilate": [2]},
+    {"coeff": "1", "create": [1, 1], "annihilate": [2]}]}]}
+
+
+class TestValidationDecisions:
+    """Both system kinds validate through one triad validation; each kind
+    accepts and rejects what its own validation did before."""
+
+    @pytest.mark.parametrize("name, valid", [
+        ("negative-control", False), ("identity-phi", True), ("charged-seed", False),
+        ("flipped-green", False), ("identity-phi-green", True),
+    ])
+    def test_accepts_and_rejects(self, name, valid):
+        from test_golden import FLIPPED_GREEN, NEGATIVE_CONTROL
+
+        from cuntz.serialize import system_from_dict
+
+        green = {**FLIPPED_GREEN, "triads": [FLIPPED_GREEN["triads"][0], {
+            **FLIPPED_GREEN["triads"][1],
+            "zeta": [{"sign": s, "left": i, "right": i}
+                     for i, s in zip((1, 2, 3, 4), (1, 1, -1, -1))],
+            "phi": {"images": [{"d": 4, "terms": [
+                {"coeff": "1", "create": [i], "annihilate": []}]} for i in (1, 2, 3, 4)]}}]}
+        payload = {"negative-control": NEGATIVE_CONTROL, "identity-phi": IDENTITY_PHI,
+                   "charged-seed": CHARGED_SEED, "flipped-green": FLIPPED_GREEN,
+                   "identity-phi-green": green}[name]
+        if valid:
+            assert system_from_dict(payload).validation.ok
+        else:
+            with pytest.raises(SystemValidationError):
+                system_from_dict(payload)
 
 
 class TestValidateSystem:

@@ -22,7 +22,14 @@ from cuntz.parafermion import (
     verify_green_relations,
     verify_trilinear,
 )
-from cuntz.rfs import RecursiveMap, RfsSystem, standard_rfs_o2, standard_rfs_p, verify_car
+from cuntz.rfs import (
+    GeneratorFamily,
+    RecursiveMap,
+    RfsSystem,
+    standard_rfs_o2,
+    standard_rfs_p,
+    verify_car,
+)
 from cuntz.serialize import system_from_dict
 from cuntz.tensor import Tensor, sandwich_power
 from test_golden import FLIPPED_GREEN, NEGATIVE_CONTROL
@@ -191,9 +198,10 @@ class _WordComponents:
 
     def __init__(self, g):
         self.p, self.d = g.p, g.d
-        self._families = {a: g.component_family(a) for a in range(1, g.p + 1)}
+        self._families = {a: GeneratorFamily(g.d, lambda n, a=a: g.component(a, n))
+                          for a in range(1, g.p + 1)}
 
-    def green_component(self, alpha, n):
+    def component(self, alpha, n):
         return self._families[alpha].generator(n)
 
 
@@ -204,7 +212,7 @@ def test_green_and_trilinear_reports_match_word_path(name):
     assert verify_green_relations(g, L).results == \
         verify_green_relations(_WordComponents(g), L).results
     assert verify_trilinear(g, L).results == \
-        verify_trilinear(g.parafermion_family(), L).results
+        verify_trilinear(g.family(), L).results
 
 
 def test_controls_fail_on_both_paths():
