@@ -19,11 +19,14 @@ triads each carry their own map and endomorphism, so its component memo,
 tensor dispatch, certificate-plus-sweep reports and validation are the ones
 the fermion systems use.
 
-The Green relations and the trilinear relations of a system with
-charge-zero seeds run on tensors (``cuntz.tensor``): the n-th component
-generator is the string M_alpha^{(x)(n-1)} (x) a^(alpha), a parafermion
-generator the sum of p such strings.  Any other source, the spectrum and
-vacuum suites and the Klein identities stay on the word algebra.
+The Green, trilinear and spectrum checks take their operands from
+``cuntz.rfs.operands``: for a system with charge-zero seeds they run on
+tensors (``cuntz.tensor``), where the n-th component generator is the
+string M_alpha^{(x)(n-1)} (x) a^(alpha) and a parafermion generator the sum
+of p such strings.  The vacuum checks act through
+``cuntz.representation.rep_generator``, which applies each component in
+sandwich form.  Any other source, and the Klein identities, stay on the
+word algebra.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .algebra import (
 )
 from .endomorphisms import Endomorphism, is_rho, rho
 from .errors import IndexRangeError
-from .representation import StateVector, rep_apply
+from .representation import StateVector, rep_generator
 from .reports import Report
 from .rfs import (
     RecursiveMap,
@@ -369,17 +372,17 @@ def verify_spectrum_polynomial(source, L: int, p: Optional[int] = None) -> Repor
     """prod_{k=0..p} (N_n + (k - p/2) I) = 0 with N_n = [a_n*, a_n] / 2."""
     if p is None:
         p = source.p
+    generator, _, zero, unit = operands(source)
     report = Report()
     half = Fraction(1, 2)
 
     def ok(n):
-        a = source.generator(n)
+        a = generator(n)
         number = commutator(a.adjoint(), a).scale(half)
-        unit = identity(a.d)
-        product = identity(a.d)
+        product = unit
         for k in range(p + 1):
             product = product * (number + unit.scale(Fraction(k) - Fraction(p, 2)))
-        return product.equals(Element.zero(a.d))
+        return product.equals(zero)
 
     report.scan("spectrum.polynomial", {"L": L, "p": p}, range(1, L + 1), ok,
                 lambda n: f"degree-{p + 1} polynomial of N_{n} does not vanish")
@@ -392,23 +395,20 @@ def verify_parafermion_vacuum(source, L: int, p: Optional[int] = None) -> Report
         p = source.p
     report = Report()
     vacuum = StateVector.unit(1)
-    gens = [source.generator(n) for n in range(1, L + 1)]
 
-    report.scan("pf-vacuum.annihilation", {"L": L}, range(L),
-                lambda n: rep_apply(gens[n], vacuum).is_zero,
-                lambda n: f"a_{n + 1} e_1 = {rep_apply(gens[n], vacuum)}")
+    report.scan("pf-vacuum.annihilation", {"L": L}, range(1, L + 1),
+                lambda n: rep_generator(source, n, vacuum).is_zero,
+                lambda n: f"a_{n} e_1 = {rep_generator(source, n, vacuum)}")
 
-    def pair_ok(pair):
+    def image(pair):
         m, n = pair
-        image = rep_apply(gens[m] * gens[n].adjoint(), vacuum)
-        expected = vacuum.scale(p) if m == n else StateVector.zero()
-        return image == expected
+        return rep_generator(source, m, rep_generator(source, n, vacuum, adjoint=True))
 
-    pairs = [(m, n) for m in range(L) for n in range(L)]
-    report.scan("pf-vacuum.eigenvalue", {"L": L, "p": p}, pairs, pair_ok,
-                lambda pair: "a_%d a_%d* e_1 = %s" % (
-                    pair[0] + 1, pair[1] + 1,
-                    rep_apply(gens[pair[0]] * gens[pair[1]].adjoint(), vacuum)))
+    pairs = [(m, n) for m in range(1, L + 1) for n in range(1, L + 1)]
+    report.scan("pf-vacuum.eigenvalue", {"L": L, "p": p}, pairs,
+                lambda pair: image(pair) == (vacuum.scale(p) if pair[0] == pair[1]
+                                             else StateVector.zero()),
+                lambda pair: "a_%d a_%d* e_1 = %s" % (*pair, image(pair)))
     return report
 
 
@@ -458,23 +458,23 @@ def verify_klein_identities(L: int = 3, depth: int = config.DEFAULT_SWEEP_DEPTH)
                f"{nf_left} vs {nf_right}")
 
     expected = klein_factor(fermi, [1]) * fermi.seeds[1]
-    report.add("klein.seed2", {}, para.seeds[1].equals(expected),
-               witness=None if para.seeds[1].equals(expected) else
+    same = para.seeds[1].equals(expected)
+    report.add("klein.seed2", {}, same, witness=None if same else
                f"a^(2) != (I - 2 a_1* a_1) a_2: {expected.normal_form()}")
 
     monomials, elements = sweep_words(d, depth)
 
-    def map_modes(component: int, n: int) -> list[int]:
-        if component == 1:
-            return [2 * k for k in range(1, n)]
-        return [2 * k - 1 for k in range(1, n)]
+    @functools.cache
+    def twist(component: int, n: int) -> Element:
+        """The parity factor of the component's map at power n - 1: K over the
+        even modes below 2n - 1 for component 1, over the odd ones for 2."""
+        return klein_factor(fermi, range(3 - component, 2 * n - 1, 2))
 
     for component in (1, 2):
         def twisted_ok(item, _c=component):
             n, idx = item
-            factor = klein_factor(fermi, map_modes(_c, n))
             lhs = para.zetas[_c - 1].power(n - 1, elements[idx])
-            rhs = factor * fermi.zeta.power(n - 1, elements[idx])
+            rhs = twist(_c, n) * fermi.zeta.power(n - 1, elements[idx])
             return lhs.equals(rhs)
 
         candidates = [(n, idx) for n in range(1, L + 1) for idx in range(len(monomials))]
@@ -482,22 +482,10 @@ def verify_klein_identities(L: int = 3, depth: int = config.DEFAULT_SWEEP_DEPTH)
                     lambda item: "z_%d^%d(%s) != parity twist" % (
                         component, item[0] - 1, monomials[item[1]]))
 
-    def green1_ok(n):
-        lhs = para.component(1, n)
-        if n == 1:
-            rhs = fermi.generator(1)
-        else:
-            rhs = klein_factor(fermi, [2 * k for k in range(1, n)]) * fermi.generator(2 * n - 1)
-        return lhs.equals(rhs)
-
-    report.scan("klein.green1", {"L": L}, range(1, L + 1), green1_ok,
-                lambda n: f"component 1 generator {n} mismatch")
-
-    def green2_ok(n):
-        lhs = para.component(2, n)
-        rhs = klein_factor(fermi, [2 * k - 1 for k in range(1, n + 1)]) * fermi.generator(2 * n)
-        return lhs.equals(rhs)
-
-    report.scan("klein.green2", {"L": L}, range(1, L + 1), green2_ok,
-                lambda n: f"component 2 generator {n} mismatch")
+    # Component c's generator n is twist(c, n + c - 1) A_{2n-2+c}.
+    for component in (1, 2):
+        report.scan(f"klein.green{component}", {"L": L}, range(1, L + 1),
+                    lambda n, _c=component: para.component(_c, n).equals(
+                        twist(_c, n + _c - 1) * fermi.generator(2 * n - 2 + _c)),
+                    lambda n, _c=component: f"component {_c} generator {n} mismatch")
     return report

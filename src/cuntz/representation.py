@@ -21,7 +21,7 @@ from . import config
 from .algebra import Element, Scalar, accumulate, exact_scalar
 from .errors import IndexRangeError
 from .reports import Report
-from .rfs import GeneratorFamily, RfsSystem
+from .rfs import GeneratorFamily, TriadSystem
 
 
 def _check_index(n) -> int:
@@ -158,66 +158,70 @@ def rep_apply(x: Element, v: StateVector) -> StateVector:
 def rep_generator(family, n: int, v: StateVector, adjoint: bool = False) -> StateVector:
     """Act on v by the family's n-th generator A_n, or by A_n* if ``adjoint``.
 
-    For a recursive fermion system, A_n = z^k(a_i) with n - 1 = p k + (i - 1)
-    acts in sandwich form and is never expanded into its 2^k words.  A
+    For a triad system, A_n is made from components z_alpha^k(a_alpha) by
+    the system's own rule (``TriadSystem._generator``), and each component
+    acts in sandwich form, never expanded into its 2^k words or more.  A
     sandwich s_u X s_v* of z meets a basis vector with s_v* first, and
     s_v* e_N = e_m exactly when N = d(m-1) + v.  So the k outer levels read
     the last k base-d digits off N, the seed acts on the e_M that is left,
     and each level then applies sign * s_u for every sandwich whose v is its
-    digit, innermost level first.  The adjoint uses a_i* and the transposed
-    sandwiches.  A diagonal sign matrix never branches, so the cost per basis
-    vector is O(k); a branching map is held to the term cap.
+    digit, innermost level first.  The adjoint uses a_alpha* and the
+    transposed sandwiches.  A diagonal sign matrix never branches, so the
+    cost per basis vector is O(k); a branching map is held to the term cap.
 
     Any other family acts by ``rep_apply`` on its expanded generator.
     """
-    if not isinstance(family, RfsSystem):
+    if not isinstance(family, TriadSystem):
         x = family.generator(n)
         return rep_apply(x.adjoint() if adjoint else x, v)
     if not isinstance(n, int) or n < 1:
         raise IndexRangeError(f"generator index must be >= 1, got {n}")
-    d = family.d
-    k, i = divmod(n - 1, family.p)
-    seed = family.seeds[i]
-    # written[r]: (sign, letter written) of each sandwich that reads digit r
-    written: dict[int, list[tuple[int, int]]] = {r: [] for r in range(1, d + 1)}
-    for sign, left, right in family.zeta.terms:
+
+    def component(alpha: int, level: int) -> StateVector:
+        d = family.d
+        seed = family.seeds[alpha - 1]
+        # written[r]: (sign, letter written) of each sandwich that reads digit r
+        written: dict[int, list[tuple[int, int]]] = {r: [] for r in range(1, d + 1)}
+        for sign, left, right in family.zetas[alpha - 1].terms:
+            if adjoint:
+                left, right = right, left
+            written[right].append((sign, left))
         if adjoint:
-            left, right = right, left
-        written[right].append((sign, left))
-    if adjoint:
-        seed = seed.adjoint()
-    total: dict[int, Scalar] = {}
-    checked = 0  # level sizes up to this one are known to lie within the cap
-    for index, amp in v.amps.items():
-        digits = []
-        for _ in range(k):
-            index, r = divmod(index - 1, d)
-            index += 1
-            digits.append(r + 1)
-        w = rep_apply(seed, StateVector._make({index: amp})).amps
-        for r in reversed(digits):
-            if not w:
-                break
-            # Inline, not accumulate: a level maps few amplitudes, and a call
-            # per level costs fock_build time.
-            out: dict[int, Scalar] = {}
-            for sign, u in written[r]:
-                for m, c in w.items():
-                    key = d * (m - 1) + u
-                    cc = c if sign > 0 else -c
-                    acc = out.get(key)
-                    if acc is not None:
-                        cc = acc + cc
-                    if cc:
-                        out[key] = cc
-                    elif key in out:
-                        del out[key]
-            if len(out) > checked:
-                config.check_cap(len(out), "rep_generator", family.max_terms)
-                checked = len(out)
-            w = out
-        accumulate(total, w.items())
-    return StateVector._make(total)
+            seed = seed.adjoint()
+        total: dict[int, Scalar] = {}
+        checked = 0  # level sizes up to this one are known to lie within the cap
+        for index, amp in v.amps.items():
+            digits = []
+            for _ in range(level - 1):
+                index, r = divmod(index - 1, d)
+                index += 1
+                digits.append(r + 1)
+            w = rep_apply(seed, StateVector._make({index: amp})).amps
+            for r in reversed(digits):
+                if not w:
+                    break
+                # Inline, not accumulate: a level maps few amplitudes, and a call
+                # per level costs fock_build time.
+                out: dict[int, Scalar] = {}
+                for sign, u in written[r]:
+                    for m, c in w.items():
+                        key = d * (m - 1) + u
+                        cc = c if sign > 0 else -c
+                        acc = out.get(key)
+                        if acc is not None:
+                            cc = acc + cc
+                        if cc:
+                            out[key] = cc
+                        elif key in out:
+                            del out[key]
+                if len(out) > checked:
+                    config.check_cap(len(out), "rep_generator", family.max_terms)
+                    checked = len(out)
+                w = out
+            accumulate(total, w.items())
+        return StateVector._make(total)
+
+    return family._generator(n, component)
 
 
 # -- Fock indexing ------------------------------------------------------------

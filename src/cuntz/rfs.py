@@ -27,11 +27,13 @@ certificate-plus-sweep report (:func:`certified_scan`), the normalization
 pair sweep and the construction-time validation (:func:`validate_triads`)
 are written once, here, for both.
 
-The CAR check of a system with charge-zero seeds runs on tensors
-(``cuntz.tensor``): A_n = z^k(a_i) is the Jordan-Wigner string
-M^{(x)k} (x) a_i of the map's sign matrix M, one term per seed term where
-the word basis holds 2^k words or more.  Any other family, and every
-witness, stays on the word algebra, which is the reference.
+A check on the generators takes them from :func:`operands`.  For a system
+with charge-zero seeds they are tensors (``cuntz.tensor``): A_n = z^k(a_i)
+is the Jordan-Wigner string M^{(x)k} (x) a_i of the map's sign matrix M,
+one term per seed term where the word basis holds 2^k words or more.  Any
+other family gives its word generators, the reference, and every witness
+is rendered from words.  A check on Fock vectors acts through
+``cuntz.representation.rep_generator`` instead.
 """
 
 from __future__ import annotations

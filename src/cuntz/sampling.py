@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Element, Monomial
+from .algebra import Element, Monomial, Scalar, exact_scalar
 
 
 def random_monomial(rng: random.Random, d: int, max_length: int = 3) -> Monomial:
@@ -16,10 +16,10 @@ def random_monomial(rng: random.Random, d: int, max_length: int = 3) -> Monomial
     return Monomial(create, annihilate)
 
 
-def random_coefficient(rng: random.Random) -> Fraction:
-    value = Fraction(0)
+def random_coefficient(rng: random.Random) -> Scalar:
+    value = 0
     while not value:
-        value = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2)))
+        value = exact_scalar(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2))))
     return value
 
 

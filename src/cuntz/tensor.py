@@ -15,8 +15,10 @@ M^{(x)(n-1)} (x) a_i: one elementary tensor per word of the seed, where the
 word basis holds 2^(n-1) words or more (:func:`sandwich_power`).
 
 Equality is decided exactly by :meth:`Tensor.is_zero`, an elimination one
-site at a time whose rank never exceeds the number of terms.  The word
-algebra of :mod:`cuntz.algebra` stays the reference.
+site at a time whose rank never exceeds the number of terms.  The CAR,
+Green, trilinear and spectrum checks get their tensors from
+``cuntz.rfs.operands``; the word algebra of :mod:`cuntz.algebra` stays the
+reference.
 """
 
 from __future__ import annotations

@@ -329,3 +329,12 @@ class TestExactCoefficients:
         assert type(el.terms[mono([1], [])]) is int
         with pytest.raises(ParseError, match="1/0"):
             parse_element("1/0 s1", 2)
+
+    def test_random_coefficients_are_stored_exactly(self, rng):
+        from cuntz.sampling import random_coefficient
+
+        values = [random_coefficient(rng) for _ in range(200)]
+        assert all(value and (type(value) is int or
+                              (type(value) is Fraction and value.denominator == 2))
+                   for value in values)
+        assert {type(value) for value in values} == {int, Fraction}

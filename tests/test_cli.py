@@ -304,6 +304,14 @@ class TestLargeModes:
         assert code == 0
         assert '[PASS] vacuum.annihilation {"N": 300}' in out
 
+    @pytest.mark.parametrize("suite", ["vacuum", "spectrum"])
+    def test_parafermion_L_8_expands_no_generator(self, capsys, suite):
+        # Generator 8 of std-rpfs:3 has 12 * 8^7 words, far past a cap of 1000.
+        code, out, err = run(capsys, "verify", "--system", "std-rpfs:3", "--suite", suite,
+                             "--L", "8", "--max-terms", "1000")
+        assert code == 0, err
+        assert out.endswith("checks passed\n")
+
     def test_unprintable_index_exits_3(self, capsys):
         # 2^19999 has more decimal digits than Python converts by default.
         code, out, err = run(capsys, "fock", "--system", "std-o2", "--modes", "20000")

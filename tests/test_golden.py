@@ -7,9 +7,10 @@ vectors in sandwich form; the std-rpfs:3 parafermion and flipped Green
 files before every sweep went through ``Report.scan``; the CAR, Green and
 trilinear files before those checks ran on tensors of matrices; the
 std-rfs-p:3 and std-rpfs:3 suites before both system kinds shared one triad
-core.  Refactors must
-reproduce them byte for byte, exit code included.  A deliberate change of
-output rewrites the file with the command's output.
+core; the std-rpfs:3 parafermion at L=5, the swapped Green and the Klein
+L=4 files before the spectrum and vacuum checks stopped expanding words.
+Refactors must reproduce them byte for byte, exit code included.  A
+deliberate change of output rewrites the file with the command's output.
 """
 
 import json
@@ -58,6 +59,21 @@ FLIPPED_GREEN = {
     ],
 }
 
+# std-rpfs:2 with component 1's seed swapped to s2 s1* + s4 s3*: the
+# parastatistics relations hold, but e_1 is not the vacuum.
+SWAPPED_GREEN = {
+    "kind": "rpfs", "p": 2, "d": 4,
+    "triads": [
+        {"seed": {"d": 4, "terms": [{"coeff": "1", "create": [2], "annihilate": [1]},
+                                    {"coeff": "1", "create": [4], "annihilate": [3]}]},
+         "zeta": FLIPPED_GREEN["triads"][0]["zeta"], "phi": "rho"},
+        {"seed": FLIPPED_GREEN["triads"][1]["seed"],
+         "zeta": [{"sign": 1, "left": 1, "right": 1}, {"sign": 1, "left": 2, "right": 2},
+                  {"sign": -1, "left": 3, "right": 3}, {"sign": -1, "left": 4, "right": 4}],
+         "phi": "rho"},
+    ],
+}
+
 # golden file stem -> (arguments, exit code).  Arguments that start with an
 # option are verify arguments run with ``--format json``; otherwise the first
 # argument names the command and the list is run as given.  A ``None`` system
@@ -90,6 +106,11 @@ CASES = {
     "std-rpfs3-all-L3": (["--system", "std-rpfs:3", "--suite", "all", "--L", "3"], 0),
     "std-rpfs3-recursive-depth2": (["--system", "std-rpfs:3", "--suite", "recursive",
                                     "--depth", "2"], 0),
+    "std-rpfs3-parafermion-L5": (["--system", "std-rpfs:3", "--suite", "parafermion",
+                                  "--L", "5"], 0),
+    "swapped-green-parafermion-L3": (["--system", SWAPPED_GREEN, "--suite", "parafermion",
+                                      "--L", "3"], 1),
+    "klein-L4": (["--suite", "klein", "--L", "4"], 0),
 }
 
 

@@ -221,6 +221,21 @@ class TestParafermionVacuum:
         assert report.first_failure().witness == "a_1 a_1* e_1 = 2 e_1"
 
 
+class TestAgainstWordReference:
+    """Spectrum on tensors and pf-vacuum in sandwich form give the reports of
+    the word generators that ``family()`` expands."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_reports_match(self, p):
+        system = standard_rpfs_p(p, validate=False)
+        reference = system.family()
+        L = 2 if p == 4 else 3
+        for verify in (verify_spectrum_polynomial, verify_parafermion_vacuum):
+            for order in (p, p + 1):  # the wrong order fails with a witness
+                assert (verify(system, L, order).to_json_lines()
+                        == verify(reference, L, order).to_json_lines())
+
+
 class TestGreenRelationsHigherOrder:
     def test_p3_relations(self):
         system = standard_rpfs_p(3)

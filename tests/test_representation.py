@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cuntz import (
     Element,
+    GreenSystem,
     IndexRangeError,
     RecursiveMap,
     ResourceLimitError,
@@ -26,6 +27,7 @@ from cuntz import (
     rho,
     standard_rfs_o2,
     standard_rfs_p,
+    standard_rpfs_p,
     verify_car,
     verify_vacuum,
 )
@@ -238,10 +240,22 @@ NON_DIAGONAL = ((1, 1, 2), (1, 2, 1), (-1, 1, 1), (1, 2, 2))
 ASYMMETRIC = ((1, 1, 2), (-1, 2, 1), (1, 2, 2), (1, 1, 1), (-1, 1, 1))
 
 
+# A four-letter map that branches on digits 1, 2 and 4 and is not symmetric.
+GREEN_NON_DIAGONAL = ((1, 1, 2), (1, 2, 1), (-1, 1, 1), (1, 2, 2), (1, 3, 3), (1, 3, 4),
+                      (-1, 4, 4))
+
+
 def non_diagonal_system(max_terms=None, terms=NON_DIAGONAL):
     seeds = standard_rfs_o2(validate=False).seeds
     return RfsSystem(seeds, RecursiveMap(2, terms), rho(2), label="non-diagonal",
                      validate=False, max_terms=max_terms)
+
+
+def non_diagonal_green():
+    """std-rpfs:2 with component 2's map replaced by GREEN_NON_DIAGONAL."""
+    base = standard_rpfs_p(2, validate=False)
+    return GreenSystem(base.seeds, (base.zetas[0], RecursiveMap(4, GREEN_NON_DIAGONAL)),
+                       base.phis, label="green-non-diagonal", validate=False)
 
 
 SANDWICH_SYSTEMS = {
@@ -251,6 +265,9 @@ SANDWICH_SYSTEMS = {
     "rfs-o4": lambda: generalized_rfs_o2d(2, [1, 3], [2, 4]),
     "non-diagonal": non_diagonal_system,
     "asymmetric": lambda: non_diagonal_system(terms=ASYMMETRIC),
+    "std-rpfs:2": lambda: standard_rpfs_p(2),
+    "std-rpfs:3": lambda: standard_rpfs_p(3),
+    "green-non-diagonal": non_diagonal_green,
 }
 
 # Every built-in fermion system (std-o2 and std-rfs-p:<p>, p up to the default limit).
@@ -267,12 +284,14 @@ def sandwich_system(name):
 @st.composite
 def sandwich_cases(draw):
     name = draw(st.sampled_from(sorted(SANDWICH_SYSTEMS)))
-    d = sandwich_system(name).d
+    system = sandwich_system(name)
+    d = system.d
     # Few coefficients of both signs, so that images of distinct basis
     # vectors landing on one index often cancel.
     coeff = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(-1, 2)])
     amps = draw(st.lists(st.tuples(st.integers(1, d**6), coeff), min_size=1, max_size=4))
-    n = draw(st.integers(1, 9))
+    # A std-rpfs:3 generator n expands into 12 * 8^(n-1) words.
+    n = draw(st.integers(1, 4 if isinstance(system, GreenSystem) else 9))
     return name, n, StateVector(amps), draw(st.booleans())
 
 
