@@ -471,9 +471,14 @@ def unit_words(d: int, monomials) -> list[Element]:
     return [Element._make(d, {m: 1}) for m in monomials]
 
 
-def sweep_words(d: int, depth: int) -> tuple[list[Monomial], list[Element]]:
+def sweep_words(d: int, depth: int, check: str,
+                candidates=lambda n: n) -> tuple[list[Monomial], list[Element]]:
     """The words of total letter count <= depth (:func:`iter_monomials`), with
-    each as an element: the candidates of a sampled condition sweep."""
+    each as an element, for the sweep ``check``.  Its ``candidates(n)`` over
+    the n = sum_{t <= depth} (t + 1) d^t words are held to the sweep budget
+    (:func:`cuntz.config.check_sweep`) before any word is built."""
+    n = sum((t + 1) * d**t for t in range(depth + 1))
+    config.check_sweep(check, candidates(n))
     monomials = list(iter_monomials(d, depth))
     return monomials, unit_words(d, monomials)
 
@@ -511,16 +516,12 @@ def anticommutator(x: Element, y: Element) -> Element:
 # -- word enumeration (used by the condition sweeps) ------------------------
 
 
-def iter_words(d: int, length: int) -> Iterator[tuple[int, ...]]:
-    return itertools.product(range(1, d + 1), repeat=length)
-
-
 def iter_monomials(d: int, max_length: int) -> Iterator[Monomial]:
     """All words of total letter count <= max_length, in a fixed order."""
     for total in range(max_length + 1):
         for la in range(total, -1, -1):
-            for create in iter_words(d, la):
-                for annihilate in iter_words(d, total - la):
+            for create in itertools.product(range(1, d + 1), repeat=la):
+                for annihilate in itertools.product(range(1, d + 1), repeat=total - la):
                     yield Monomial(create, annihilate)
 
 

@@ -26,11 +26,9 @@ DEFAULT_SPAN_BASIS_CAP = 65_536
 _scoped_max_terms = None
 
 
-def max_terms_cap(override=None):
-    """Current term cap: ``override`` if given, else the scoped cap if one
-    is set, else the environment variable if set, else the default."""
-    if override is not None:
-        return override
+def max_terms_cap():
+    """Current term cap: the scoped cap if one is set, else the environment
+    variable if set, else the default."""
     if _scoped_max_terms is not None:
         return _scoped_max_terms
     raw = os.environ.get(MAX_TERMS_ENV)
@@ -45,22 +43,26 @@ def max_terms_cap(override=None):
     return value
 
 
-def check_cap(count, operation, override=None, what="terms"):
+def check_cap(count, operation, what="terms"):
     """Raise ResourceLimitError naming ``operation`` when ``count`` exceeds
-    ``max_terms_cap(override)``."""
-    cap = max_terms_cap(override)
+    ``max_terms_cap()``."""
+    cap = max_terms_cap()
     if count > cap:
         raise ResourceLimitError(count, cap, what=what, operation=operation)
 
 
+def check_sweep(check, count):
+    """The sweep budget: ``count`` candidates of the sweep ``check``, capped."""
+    check_cap(count, f"sweep {check}", what="candidates")
+
+
 @contextlib.contextmanager
 def scoped_max_terms(cap):
-    """Within the block, ``cap`` bounds what the environment variable would;
-    ``None`` leaves the cap as it is.  The previous cap is restored on exit."""
+    """Within the block, ``cap`` is the term cap in place of the environment
+    variable; the previous cap is restored on exit."""
     global _scoped_max_terms
     saved = _scoped_max_terms
-    if cap is not None:
-        _scoped_max_terms = cap
+    _scoped_max_terms = cap
     try:
         yield
     finally:

@@ -53,7 +53,6 @@ from .reports import Report
 from .rfs import (
     RecursiveMap,
     TriadSystem,
-    _matrix_product,
     adjoint_certificate,
     bimodule_certificate,
     certified_scan,
@@ -63,6 +62,7 @@ from .rfs import (
     standard_rfs_p,
     validate_triads,
 )
+from .tensor import _matmul
 
 
 class GreenSystem(TriadSystem):
@@ -73,8 +73,8 @@ class GreenSystem(TriadSystem):
 
     def __init__(self, seeds: Sequence[Element], zetas: Sequence[RecursiveMap],
                  phis: Sequence[Endomorphism], label: str = "rpfs",
-                 validate: bool = True, max_terms: Optional[int] = None):
-        super().__init__(seeds, zetas, phis, label, validate, max_terms)
+                 validate: bool = True):
+        super().__init__(seeds, zetas, phis, label, validate)
 
     def _generator(self, n, component):
         return functools.reduce(operator.add,
@@ -113,11 +113,10 @@ def standard_rpfs_p_zeta_signs(p: int, alpha: int) -> tuple[int, ...]:
     return tuple(-1 if ((i - 1) >> (alpha - 1)) % 2 else 1 for i in range(1, 2**p + 1))
 
 
-def standard_rpfs_p(p: int, p_max: Optional[int] = None, validate: bool = True) -> GreenSystem:
+def standard_rpfs_p(p: int, validate: bool = True) -> GreenSystem:
     """The order-p system on 2^p letters from the closed formulas."""
-    limit = p_max if p_max is not None else config.DEFAULT_P_MAX_RPFS
-    if not 1 <= p <= limit:
-        raise IndexRangeError(f"p must lie in 1..{limit}, got {p}")
+    if not 1 <= p <= config.DEFAULT_P_MAX_RPFS:
+        raise IndexRangeError(f"p must lie in 1..{config.DEFAULT_P_MAX_RPFS}, got {p}")
     d = 2**p
     seeds, zetas = [], []
     for alpha in range(1, p + 1):
@@ -159,7 +158,7 @@ def verify_green_recursive(g: GreenSystem,
     """Per component: anticommutation with its own map; commutation with others."""
     report = Report()
     zero = Element.zero(g.d)
-    monomials, elements = sweep_words(g.d, depth)
+    monomials, elements = sweep_words(g.d, depth, "green-recursive.sampled")
     images = [[z.apply(el) for el in elements] for z in g.zetas]
     words = range(len(monomials))
 
@@ -186,7 +185,7 @@ def verify_green_recursive(g: GreenSystem,
 def verify_green_normalization(g: GreenSystem,
                                depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report:
     report = Report()
-    words = sweep_words(g.d, depth)
+    words = sweep_words(g.d, depth, "green-normalization.sampled", lambda n: n * n)
     for a in range(g.p):
         normalization_certificate(report, "green-normalization.certificate",
                                   {"component": a + 1}, g.zetas[a], is_rho(g.phis[a]),
@@ -198,9 +197,9 @@ def verify_green_normalization(g: GreenSystem,
     return report
 
 
-def _matrices_commute(za: RecursiveMap, zb: RecursiveMap, d: int) -> bool:
+def _matrices_commute(za: RecursiveMap, zb: RecursiveMap) -> bool:
     ma, mb = za.sandwich_matrix(), zb.sandwich_matrix()
-    return _matrix_product(ma, mb, d) == _matrix_product(mb, ma, d)
+    return _matmul(ma, mb) == _matmul(mb, ma)
 
 
 def verify_cross_commutation(g: GreenSystem, depth: int = 1) -> Report:
@@ -213,10 +212,12 @@ def verify_cross_commutation(g: GreenSystem, depth: int = 1) -> Report:
     zero = Element.zero(g.d)
     pairs_ab = [(a, b) for a in range(g.p) for b in range(a, g.p)]
     report.scan("cross-commutation.certificate", {"pairs": len(pairs_ab)}, pairs_ab,
-                lambda ab: _matrices_commute(g.zetas[ab[0]], g.zetas[ab[1]], g.d),
+                lambda ab: _matrices_commute(g.zetas[ab[0]], g.zetas[ab[1]]),
                 lambda ab: f"sign matrices of maps {ab[0] + 1} and {ab[1] + 1} do not commute")
 
-    monomials, elements = sweep_words(g.d, depth)
+    # Finding the commuting word pairs tests every ordered pair.
+    monomials, elements = sweep_words(g.d, depth, "cross-commutation.sampled",
+                                      lambda n: n * n)
     commuting = [(i, j) for i in range(len(monomials)) for j in range(len(monomials))
                  if commutator(elements[i], elements[j]).equals(zero)]
     candidates = [(a, b, i, j) for a, b in pairs_ab for i, j in commuting]
@@ -246,7 +247,7 @@ def validate_green_system(g: GreenSystem) -> Report:
                    cert_ok, witness=witness)
     for a in range(g.p):
         for b in range(a, g.p):
-            ok = _matrices_commute(g.zetas[a], g.zetas[b], g.d)
+            ok = _matrices_commute(g.zetas[a], g.zetas[b])
             report.add("cross-commutation.certificate",
                        {"components": (a + 1, b + 1)}, ok)
     return report
@@ -255,8 +256,11 @@ def validate_green_system(g: GreenSystem) -> Report:
 def verify_green_relations(g: GreenSystem, L: int) -> Report:
     """Component families: fermionic within, commuting across, up to index L.
 
-    The predicates run on tensors when the seeds are charge-zero.
+    The predicates run on tensors when the seeds are charge-zero.  Candidate
+    counts meet the sweep budget, in scan order, before any operand is built.
     """
+    config.check_sweep("green.anticommute", g.p * L * (L + 1) // 2)
+    config.check_sweep("green.cross-commute", g.p * (g.p - 1) * L * L)
     report = Report()
     _, component, zero, unit = operands(g)
     comp = {(a, n): component(a, n)
@@ -316,8 +320,11 @@ def verify_trilinear(source, L: int) -> Report:
     The last three follow from the first two by the involution and one
     Jacobi step; antisymmetric inner brackets are checked once per
     unordered pair.  A GreenSystem with charge-zero seeds is checked on
-    tensors, any other source on its word generators.
+    tensors, any other source on its word generators.  Candidate counts
+    meet the sweep budget, in scan order, before any operand is built.
     """
+    config.check_sweep("trilinear.comm-comm", L * L * (L - 1) // 2)
+    config.check_sweep("trilinear.number-action", L ** 3)
     generator, _, zero, _ = operands(source)
     gens = [generator(n) for n in range(1, L + 1)]
     adjs = [x.adjoint() for x in gens]
@@ -462,7 +469,7 @@ def verify_klein_identities(L: int = 3, depth: int = config.DEFAULT_SWEEP_DEPTH)
     report.add("klein.seed2", {}, same, witness=None if same else
                f"a^(2) != (I - 2 a_1* a_1) a_2: {expected.normal_form()}")
 
-    monomials, elements = sweep_words(d, depth)
+    monomials, elements = sweep_words(d, depth, "klein.map1", lambda n: L * n)
 
     @functools.cache
     def twist(component: int, n: int) -> Element:

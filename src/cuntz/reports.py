@@ -59,10 +59,10 @@ class Report:
         through the module-level ``sweep_first_failure``, so a wrapper bound
         to that name (``perfbench/trace.py``) sees every sweep.  A sized
         candidate list longer than the term cap is refused before any
-        predicate runs (:func:`cuntz.config.check_cap`).
+        predicate runs (:func:`cuntz.config.check_sweep`).
         """
         if hasattr(candidates, "__len__"):
-            config.check_cap(len(candidates), f"sweep {check}", what="candidates")
+            config.check_sweep(check, len(candidates))
         bad = sweep_first_failure(predicate, candidates)
         self.add(check, params, bad is None, witness=None if bad is None else render(bad))
         return bad

@@ -215,7 +215,7 @@ def rep_generator(family, n: int, v: StateVector, adjoint: bool = False) -> Stat
                         elif key in out:
                             del out[key]
                 if len(out) > checked:
-                    config.check_cap(len(out), "rep_generator", family.max_terms)
+                    config.check_cap(len(out), "rep_generator")
                     checked = len(out)
                 w = out
             accumulate(total, w.items())

@@ -17,6 +17,8 @@ sufficient always, and also necessary for the adjoint and normalization
 certificates), plus a sampled sweep over all words up to a configured
 total letter count ("depth").  Certificate failure with a clean sweep is
 reported as inconclusive rather than being silently trusted either way.
+Growth reads one term cap (:func:`cuntz.config.max_terms_cap`): components
+grown as words, and every sweep's candidates, counted before they are built.
 
 Both system kinds are triad systems (:class:`TriadSystem`): p triads of a
 seed, a map and an endomorphism.  A fermion system (:class:`RfsSystem`) is
@@ -61,10 +63,11 @@ from .errors import (
     AlphabetMismatchError,
     CuntzError,
     IndexRangeError,
+    ResourceLimitError,
     SystemValidationError,
 )
 from .reports import INCONCLUSIVE, Report, sweep_first_failure
-from .tensor import Tensor, sandwich_power
+from .tensor import Matrix, Tensor, _identity, _matmul, _matrix, _transpose, sandwich_power
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,8 @@ class RecursiveMap:
                 raise IndexRangeError(f"sandwich sign must be +-1, got {sign}")
             if not (1 <= u <= self.d and 1 <= v <= self.d):
                 raise IndexRangeError(f"sandwich indices ({u},{v}) outside 1..{self.d}")
-        object.__setattr__(self, "_matrix",
-                           accumulate({}, (((u, v), sign) for sign, u, v in self.terms)))
+        object.__setattr__(self, "_matrix", _matrix(
+            accumulate({}, (((u, v), sign) for sign, u, v in self.terms))))
 
     def apply(self, x: Element) -> Element:
         """Sandwich by the net sign matrix: distinct letter pairs and distinct
@@ -95,7 +98,7 @@ class RecursiveMap:
         if x.d != self.d:
             raise AlphabetMismatchError(f"d mismatch: {x.d} vs {self.d}")
         return Element._make(self.d, {Monomial((u,) + a, (v,) + b): sign * c
-                                      for (u, v), sign in self._matrix.items()
+                                      for u, v, sign in self._matrix
                                       for (a, b), c in x.terms.items()})
 
     def power(self, n: int, x: Element) -> Element:
@@ -103,20 +106,13 @@ class RecursiveMap:
             x = self.apply(x)
         return x
 
-    def sandwich_matrix(self) -> dict[tuple[int, int], int]:
-        """Net sign per (left, right) letter pair (read-only)."""
+    def sandwich_matrix(self) -> Matrix:
+        """Net sign per (left, right) letter pair, as a ``cuntz.tensor`` matrix."""
         return self._matrix
 
     def is_adjoint_compatible(self) -> bool:
         """Exact test of z(X)* = z(X*) for all X: the sign matrix is symmetric."""
-        matrix = self.sandwich_matrix()
-        return all(matrix.get((v, u), 0) == c for (u, v), c in matrix.items())
-
-
-def _matrix_product(left: dict, right: dict, d: int) -> dict:
-    """Product of two sandwich sign matrices, as sparse ``(row, column)`` dicts."""
-    return accumulate({}, (((u, w), a * right[(v, w)]) for (u, v), a in left.items()
-                           for w in range(1, d + 1) if (v, w) in right))
+        return _transpose(self._matrix) == self._matrix
 
 
 def normalization_matrix_holds(z: RecursiveMap) -> bool:
@@ -127,9 +123,8 @@ def normalization_matrix_holds(z: RecursiveMap) -> bool:
     identity matrix is exactly the canonical endomorphism's sandwich form.
     Valid as an iff whenever the declared phi equals rho on images.
     """
-    matrix = z.sandwich_matrix()
-    square = _matrix_product(matrix, matrix, z.d)
-    return square == {(i, i): 1 for i in range(1, z.d + 1)}
+    square = _matmul(z.sandwich_matrix(), z.sandwich_matrix())
+    return len(square) == z.d and square == _identity(z.d)  # no huge identity built
 
 
 def bimodule_certificate(seed: Element, z: RecursiveMap, relation_sign: int):
@@ -159,11 +154,9 @@ class GeneratorFamily:
     """An indexed family n -> element of O_d; the unit of account for
     anticommutation and vacuum sweeps.  Generators are cached."""
 
-    def __init__(self, d: int, fn: Callable[[int], Element], label: str = "family",
-                 max_terms: Optional[int] = None):
+    def __init__(self, d: int, fn: Callable[[int], Element], label: str = "family"):
         self.d = d
         self.label = label
-        self.max_terms = max_terms
         self._fn = fn
         self._cache: dict[int, Element] = {}
 
@@ -172,7 +165,7 @@ class GeneratorFamily:
         cached = self._cache.get(n)
         if cached is None:
             cached = self._fn(n)
-            config.check_cap(len(cached), "generator", self.max_terms)
+            config.check_cap(len(cached), "generator")
             self._cache[n] = cached
         return cached
 
@@ -194,15 +187,13 @@ class TriadSystem:
     mutation is the memo of components, keyed by (alpha, n).
     """
 
-    __slots__ = ("d", "p", "seeds", "zetas", "phis", "label", "max_terms",
-                 "validation", "_memo")
+    __slots__ = ("d", "p", "seeds", "zetas", "phis", "label", "_memo")
 
     # Whether all triads share one map and endomorphism (a fermion system).
     shared_map = False
 
     def __init__(self, seeds: Sequence[Element], zetas: Sequence[RecursiveMap],
-                 phis: Sequence[Endomorphism], label: str, validate: bool,
-                 max_terms: Optional[int]):
+                 phis: Sequence[Endomorphism], label: str, validate: bool):
         seeds, zetas, phis = tuple(seeds), tuple(zetas), tuple(phis)
         if not (len(seeds) == len(zetas) == len(phis)) or not seeds:
             raise IndexRangeError("need one (seed, map, endomorphism) triad per component")
@@ -215,12 +206,9 @@ class TriadSystem:
         self.zetas = zetas
         self.phis = phis
         self.label = label
-        self.max_terms = max_terms
-        self.validation = None
         self._memo: dict[tuple[int, int], Element] = {}
         if validate:
             report = self._validate()
-            self.validation = report
             if report.failures():
                 raise SystemValidationError(report)
 
@@ -235,7 +223,7 @@ class TriadSystem:
                 cached = self.seeds[alpha - 1]
             else:
                 cached = self.zetas[alpha - 1].apply(self.component(alpha, n - 1))
-                config.check_cap(len(cached), "generator", self.max_terms)
+                config.check_cap(len(cached), "generator")
             self._memo[(alpha, n)] = cached
         return cached
 
@@ -251,8 +239,7 @@ class TriadSystem:
         return self._generator(n, self.component)
 
     def family(self) -> GeneratorFamily:
-        return GeneratorFamily(self.d, self.generator, label=self.label,
-                               max_terms=self.max_terms)
+        return GeneratorFamily(self.d, self.generator, label=self.label)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.label}, d={self.d}, p={self.p})"
@@ -266,11 +253,9 @@ class RfsSystem(TriadSystem):
     shared_map = True
 
     def __init__(self, seeds: Sequence[Element], zeta: RecursiveMap, phi: Endomorphism,
-                 label: str = "rfs", validate: bool = True,
-                 max_terms: Optional[int] = None):
+                 label: str = "rfs", validate: bool = True):
         seeds = tuple(seeds)
-        super().__init__(seeds, (zeta,) * len(seeds), (phi,) * len(seeds), label, validate,
-                         max_terms)
+        super().__init__(seeds, (zeta,) * len(seeds), (phi,) * len(seeds), label, validate)
 
     @property
     def zeta(self) -> RecursiveMap:
@@ -358,12 +343,11 @@ def standard_rfs_p_zeta_signs(p: int) -> tuple[int, ...]:
     return tuple(_floor_sign(i - 1, p) for i in range(1, 2**p + 1))
 
 
-def standard_rfs_p(p: int, p_max: Optional[int] = None, validate: bool = True) -> RfsSystem:
+def standard_rfs_p(p: int, validate: bool = True) -> RfsSystem:
     """The p-seed system on 2^p letters whose image is the full
     charge-zero subalgebra; seeds and map come from closed formulas."""
-    limit = p_max if p_max is not None else config.DEFAULT_P_MAX_RFS
-    if not 1 <= p <= limit:
-        raise IndexRangeError(f"p must lie in 1..{limit}, got {p}")
+    if not 1 <= p <= config.DEFAULT_P_MAX_RFS:
+        raise IndexRangeError(f"p must lie in 1..{config.DEFAULT_P_MAX_RFS}, got {p}")
     d = 2**p
     seeds = [Element(d, standard_rfs_p_seed_terms(p, i)) for i in range(1, p + 1)]
     zeta = RecursiveMap(d, tuple((s, i, i) for i, s in
@@ -449,7 +433,7 @@ def verify_recursive_condition(sys, depth: int = config.DEFAULT_SWEEP_DEPTH) -> 
     """Formal certificate plus sampled sweep for the recursive condition."""
     report = Report()
     d = sys.d
-    monomials, elements = sweep_words(d, depth)
+    monomials, elements = sweep_words(d, depth, "recursive.sampled")
     images = [sys.zeta.apply(el) for el in elements]
     zero = Element.zero(d)
 
@@ -490,13 +474,11 @@ def normalization_sweep(report: Report, check: str, params: dict, zeta: Recursiv
                         phi: Endomorphism, words, render):
     """One line for z(X) z(Y) = phi(XY) over every ordered pair of sweep words.
 
-    ``words`` is a :func:`sweep_words` pair; ``render`` names a failing pair
-    from its two words.  More pairs than the term cap are refused before any
-    image is formed.
+    ``words`` is a :func:`sweep_words` pair whose budget counted the pairs;
+    ``render`` names a failing pair from its two words.
     """
     monomials, elements = words
     n = len(monomials)
-    config.check_cap(n * n, f"sweep {check}", what="candidates")
     images = [zeta.apply(el) for el in elements]
 
     def pair_ok(pair):
@@ -513,7 +495,7 @@ def verify_normalization(sys, depth: int = config.DEFAULT_SWEEP_DEPTH) -> Report
     normalization_certificate(report, "normalization.certificate", {}, sys.zeta,
                               is_rho(sys.phi))
     normalization_sweep(report, "normalization.sampled", {"depth": depth}, sys.zeta, sys.phi,
-                        sweep_words(sys.d, depth),
+                        sweep_words(sys.d, depth, "normalization.sampled", lambda n: n * n),
                         lambda x, y: f"z({x}) z({y}) != phi(product)")
     return report
 
@@ -538,8 +520,10 @@ def verify_car(family, n_max: int) -> Report:
     """Anticommutation relations for generators 1..n_max of a family.
 
     The predicates run on tensors for a system with charge-zero seeds; a
-    witness is always rendered from the family's word generators.
+    witness is always rendered from the family's word generators.  The
+    N(N+1)/2 pairs meet the sweep budget before any operand is built.
     """
+    config.check_sweep("car.anticommute", n_max * (n_max + 1) // 2)
     report = Report()
     generator, _, zero, unit = operands(family)
     gens = [generator(n) for n in range(1, n_max + 1)]
@@ -575,17 +559,19 @@ def validate_triads(sys, report: Report, key: str, prefix: str, adjoint_check: s
 
     ``report`` holds the seed conditions.  Added to it: per seed, the
     certificate that it anticommutes with its map (``<prefix>certificate``;
-    a failed one is refuted on the words of length <= 1 when it can be, and
-    is inconclusive otherwise); then per map, once when the triads share
+    a failed one is refuted on the words of length <= 1, built only then
+    and under the sweep budget, when it can be, and is inconclusive
+    otherwise); then per map, once when the triads share
     it, its adjoint certificate and either the normalization certificate
     (phi is rho) or phi's defining relations.  Lines of one component carry
     ``{key: alpha}``.
     """
-    monomials, elements = sweep_words(sys.d, 1)
     zero = Element.zero(sys.d)
     for alpha, seed in enumerate(sys.seeds, start=1):
         zeta = sys.zetas[alpha - 1]
         certificate_ok, witness = bimodule_certificate(seed, zeta, +1)
+        if not certificate_ok:
+            monomials, elements = sweep_words(sys.d, 1, prefix + "certificate")
         bad = None if certificate_ok else sweep_first_failure(
             lambda idx: anticommutator(seed, zeta.apply(elements[idx])).equals(zero),
             range(len(monomials)))
@@ -658,13 +644,13 @@ def _level_coordinates(el: Element, k: int, d: int) -> Optional[dict[Monomial, S
     return accumulate({}, raised()) or None
 
 
-def span_rank(generators: Sequence[Element], k: int, max_len: int,
-              basis_cap: Optional[int] = None) -> SpanResult:
+def span_rank(generators: Sequence[Element], k: int, max_len: int) -> SpanResult:
     """Exact rank of words in the given charge-zero generators at level k.
 
     Products of up to ``max_len`` factors are reduced into the level-k
     word basis (dimension d^{2k}) by fraction-exact Gaussian elimination
-    (:func:`cuntz.algebra.eliminate`).
+    (:func:`cuntz.algebra.eliminate`).  A basis larger than
+    ``config.DEFAULT_SPAN_BASIS_CAP`` is refused before any product.
     """
     if k < 1:
         raise IndexRangeError(f"k must be >= 1, got {k}")
@@ -672,8 +658,8 @@ def span_rank(generators: Sequence[Element], k: int, max_len: int,
         raise IndexRangeError("need at least one generator")
     d = generators[0].d
     expected = d ** (2 * k)
-    config.check_cap(expected, None, basis_cap if basis_cap is not None
-                     else config.DEFAULT_SPAN_BASIS_CAP, what="basis size")
+    if expected > (cap := config.DEFAULT_SPAN_BASIS_CAP):
+        raise ResourceLimitError(expected, cap, "basis size", "span_rank")
     gens = list(generators)
 
     basis: dict = {}
@@ -699,7 +685,7 @@ def span_rank(generators: Sequence[Element], k: int, max_len: int,
     return SpanResult(len(basis), expected, len(basis) == expected, considered)
 
 
-def span_dimension_check(sys, k: int, basis_cap: Optional[int] = None) -> SpanResult:
+def span_dimension_check(sys, k: int) -> SpanResult:
     """Exact rank of products of the first p*k embedded generators and adjoints.
 
     A complete span witnesses that the embedded algebra exhausts the
@@ -710,4 +696,4 @@ def span_dimension_check(sys, k: int, basis_cap: Optional[int] = None) -> SpanRe
     count = sys.p * k
     gens = [sys.generator(n) for n in range(1, count + 1)]
     gens += [g.adjoint() for g in gens]
-    return span_rank(gens, k, 2 * count, basis_cap=basis_cap)
+    return span_rank(gens, k, 2 * count)

@@ -9,7 +9,9 @@ charge-zero subalgebra of O_d is the infinite tensor product of M_d, and a
 exact (``int`` or ``Fraction``) matrices, every site past the end being I.
 
 A single-letter sandwich map X -> sum_t sign_t s_{u_t} X s_{v_t}* is
-X -> M (x) X, with M the map's sign matrix.  So the generator
+X -> M (x) X, with M the map's sign matrix; ``cuntz.rfs.RecursiveMap`` holds
+M as a :data:`Matrix` of this module, and its symmetry and normalization
+certificates are matrix identities here.  So the generator
 A_{p(n-1)+i} = z^{n-1}(a_i) is the Jordan-Wigner string
 M^{(x)(n-1)} (x) a_i: one elementary tensor per word of the seed, where the
 word basis holds 2^(n-1) words or more (:func:`sandwich_power`).
@@ -226,12 +228,12 @@ class Tensor:
         return f"Tensor(d={self.d}, {len(self.terms)} terms)"
 
 
-def sandwich_power(matrix: dict[tuple[int, int], int], seed: Element, k: int) -> Tensor:
+def sandwich_power(matrix: Matrix, seed: Element, k: int) -> Tensor:
     """z^k(seed) = M^{(x)k} (x) seed for the sandwich map whose sign matrix M
-    is ``matrix`` (as :meth:`cuntz.rfs.RecursiveMap.sandwich_matrix` gives
-    it); ``seed`` must be charge-zero."""
+    is ``matrix`` (:meth:`cuntz.rfs.RecursiveMap.sandwich_matrix`); ``seed``
+    must be charge-zero."""
     base = Tensor.from_element(seed)
-    string = (_matrix(matrix),) * k
+    string = (matrix,) * k
     unit = _identity(seed.d)
     return Tensor._capped(seed.d, accumulate(
         {}, ((_trimmed(string + sites, unit), c) for sites, c in base.terms.items())))

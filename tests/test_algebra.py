@@ -19,7 +19,9 @@ from cuntz import (
     parse_element,
     raise_monomial,
 )
-from cuntz.algebra import unit_words
+from cuntz import config
+from cuntz.algebra import sweep_words, unit_words
+from cuntz.errors import ResourceLimitError
 from cuntz.representation import StateVector, rep_apply
 
 
@@ -338,3 +340,29 @@ class TestExactCoefficients:
                               (type(value) is Fraction and value.denominator == 2))
                    for value in values)
         assert {type(value) for value in values} == {int, Fraction}
+
+
+class TestSweepWords:
+    """The sweep word list is counted by its closed form before it is built."""
+
+    @pytest.mark.parametrize("d, depth", [(2, 0), (2, 3), (3, 2), (4, 1), (8, 2)])
+    def test_closed_form_counts_the_words(self, d, depth):
+        monomials, elements = sweep_words(d, depth, "demo")
+        assert monomials == list(iter_monomials(d, depth))
+        assert len(monomials) == sum((t + 1) * d**t for t in range(depth + 1))
+        assert [el.terms for el in elements] == [{m: 1} for m in monomials]
+
+    def test_budget_names_the_sweep_and_its_candidates(self):
+        # 49 words of O_2 up to length 3; their ordered pairs number 2401.
+        with config.scoped_max_terms(49):
+            assert len(sweep_words(2, 3, "demo")[0]) == 49
+            with pytest.raises(ResourceLimitError) as err:
+                sweep_words(2, 3, "demo.pairs", lambda n: n * n)
+        assert (err.value.count, err.value.what, err.value.operation) == (
+            2401, "candidates", "sweep demo.pairs")
+
+    def test_huge_alphabet_is_refused_without_listing(self):
+        d = 10**30
+        with pytest.raises(ResourceLimitError) as err:
+            sweep_words(d, 1, "demo")
+        assert err.value.count == 1 + 2 * d

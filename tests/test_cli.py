@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cuntz import Element, Monomial, standard_rfs_p
+from cuntz import Element, Monomial, RecursiveMap, standard_rfs_p
 from cuntz.cli import main
 from cuntz.serialize import element_to_dict, rfs_to_dict, vector_to_dict
 from cuntz.representation import StateVector
@@ -419,6 +419,65 @@ class TestSweepBudget:
                              "--N", "4", "--max-terms", "9")
         assert code == 3
         assert "candidates count 10 exceeds cap 9 in sweep car.anticommute" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--system", "std-o2", "--suite", "recursive", "--depth", "12",
+          "--max-terms", "90000"), "candidates count 98305 exceeds cap 90000 in sweep "
+                                   "recursive.sampled"),
+        (("--system", "std-o2", "--suite", "normalization", "--depth", "3",
+          "--max-terms", "1000"), "candidates count 2401 exceeds cap 1000 in sweep "
+                                  "normalization.sampled"),
+        (("--system", "std-rpfs:2", "--suite", "recursive", "--depth", "3",
+          "--max-terms", "100"), "candidates count 313 exceeds cap 100 in sweep "
+                                 "green-recursive.sampled"),
+        (("--system", "std-o2", "--suite", "car", "--N", "100", "--max-terms", "4000"),
+         "candidates count 5050 exceeds cap 4000 in sweep car.anticommute"),
+        (("--system", "std-rpfs:3", "--suite", "green", "--L", "5", "--max-terms", "40"),
+         "candidates count 45 exceeds cap 40 in sweep green.anticommute"),
+        (("--system", "std-rpfs:3", "--suite", "trilinear", "--L", "6",
+          "--max-terms", "100"), "candidates count 216 exceeds cap 100 in sweep "
+                                 "trilinear.number-action"),
+        (("--suite", "klein", "--depth", "3", "--max-terms", "300"),
+         "candidates count 939 exceeds cap 300 in sweep klein.map1"),
+    ])
+    def test_counted_before_words_or_operands_are_built(self, capsys, monkeypatch, argv,
+                                                        message):
+        # The closed-form count is refused before any sweep image or tensor
+        # generator exists, with the message the scan itself would give.
+        from cuntz import rfs
+
+        calls = []
+        apply = RecursiveMap.apply
+        monkeypatch.setattr(RecursiveMap, "apply",
+                            lambda z, x: calls.append("apply") or apply(z, x))
+        monkeypatch.setattr(rfs, "sandwich_power",
+                            lambda *args: calls.append("sandwich_power"))
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.strip() == f"resource cap: {message}"
+        assert calls == []
+
+    def test_huge_alphabet_exits_3_without_listing_words(self, capsys, tmp_path):
+        # d = 10^30 letters: the sweep's word count is refused by its closed
+        # form; listing the words would not fit in memory.
+        d = 10**30
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "kind": "rfs", "d": d, "p": 1, "seeds": [{"d": d, "terms": []}],
+            "zeta": [{"sign": 1, "left": 1, "right": 1}, {"sign": -1, "left": 2, "right": 2}],
+            "phi": "rho"}))
+        code, out, err = run(capsys, "verify", "--system", str(path), "--suite", "all")
+        assert code == 3
+        assert out == ""
+        assert err.strip() == (f"resource cap: candidates count {1 + 2 * d + 3 * d * d} "
+                               "exceeds cap 500000 in sweep recursive.sampled")
+        # embed and fock validate: the zero seed fails its seed conditions,
+        # and no word list is built, since the recursive certificate holds.
+        for command in (("embed", "--n", "1"), ("fock", "--modes", "1")):
+            code, out, err = run(capsys, command[0], "--system", str(path), *command[1:])
+            assert code == 1
+            assert err.startswith("invalid system: 2/6 checks failed; first: seed.mixed")
 
 
 class TestRangeFlags:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuntz import config
 from cuntz import (
     Element,
     GeneratorFamily,
@@ -126,8 +127,7 @@ class TestGreenComponents:
 
     def test_cap_error_names_the_generator(self):
         system = standard_rpfs_p(2, validate=False)
-        system.max_terms = 8
-        with pytest.raises(ResourceLimitError) as err:
+        with config.scoped_max_terms(8), pytest.raises(ResourceLimitError) as err:
             system.component(1, 3)
         assert err.value.operation == "generator"
 

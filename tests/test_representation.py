@@ -245,10 +245,10 @@ GREEN_NON_DIAGONAL = ((1, 1, 2), (1, 2, 1), (-1, 1, 1), (1, 2, 2), (1, 3, 3), (1
                       (-1, 4, 4))
 
 
-def non_diagonal_system(max_terms=None, terms=NON_DIAGONAL):
+def non_diagonal_system(terms=NON_DIAGONAL):
     seeds = standard_rfs_o2(validate=False).seeds
     return RfsSystem(seeds, RecursiveMap(2, terms), rho(2), label="non-diagonal",
-                     validate=False, max_terms=max_terms)
+                     validate=False)
 
 
 def non_diagonal_green():
@@ -343,9 +343,12 @@ class TestSandwichAction:
 
     def test_branching_is_held_to_the_cap(self):
         # Four levels that each double the vector pass a cap of 16, not one of 8.
-        assert len(rep_generator(non_diagonal_system(max_terms=16), 5, e(1), True)) == 16
-        with pytest.raises(ResourceLimitError, match="in rep_generator"):
-            rep_generator(non_diagonal_system(max_terms=8), 5, e(1), True)
+        system = non_diagonal_system()
+        with config.scoped_max_terms(16):
+            assert len(rep_generator(system, 5, e(1), True)) == 16
+        with config.scoped_max_terms(8):
+            with pytest.raises(ResourceLimitError, match="in rep_generator"):
+                rep_generator(system, 5, e(1), True)
 
     def test_scoped_cap_reaches_branching(self):
         # The CLI's --max-terms sets this scope for one command.

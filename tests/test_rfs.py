@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuntz import config
 from cuntz import rfs as rfs_module
 from cuntz import (
     Element,
@@ -158,8 +159,6 @@ class TestStandardRfsP:
             standard_rfs_p(0)
         with pytest.raises(IndexRangeError):
             standard_rfs_p(7)
-        # the cap is configurable
-        assert standard_rfs_p(2, p_max=2).p == 2
 
     def test_generator_indexing(self, rfs2):
         # n-1 = p(q-1) + (i-1): n=2 -> seed 2, n=3 -> z(a_1)
@@ -339,9 +338,16 @@ class TestSpanDimension:
         # must not change which products count as independent.
         assert span_dimension_check(std_o2 if system == "std-o2" else rfs2, k) == expected
 
-    def test_basis_cap_guard(self, std_o2):
-        with pytest.raises(ResourceLimitError):
-            span_dimension_check(std_o2, 3, basis_cap=16)
+    def test_basis_cap_guard(self, rfs3, monkeypatch):
+        # Level 3 of d = 8 has 8^6 = 262,144 basis words, past the basis cap
+        # of 65,536: the guard refuses before any product is formed.
+        products = []
+        monkeypatch.setattr(Element, "__mul__", lambda x, y: products.append((x, y)))
+        with pytest.raises(ResourceLimitError) as err:
+            span_dimension_check(rfs3, 3)
+        assert (err.value.count, err.value.cap, err.value.what, err.value.operation) == (
+            8**6, 65_536, "basis size", "span_rank")
+        assert products == []
 
     def test_scaled_generators_keep_rank_and_exact_rows(self, std_o2, monkeypatch):
         # Scaled generators give pivots other than +-1, so the elimination
@@ -369,34 +375,31 @@ class TestSpanDimension:
 
 
 class TestResourceCaps:
+    """Generators grown as words are held to the one scoped term cap."""
+
     def test_zeta_power_respects_cap(self):
         system = standard_rfs_o2()
-        system.max_terms = 8
-        with pytest.raises(ResourceLimitError) as err:
+        with config.scoped_max_terms(8), pytest.raises(ResourceLimitError) as err:
             system.generator(6)
         assert err.value.count > 8
 
     def test_family_cap(self, std_o2):
         family = compose_with_endomorphism(std_o2, rho(2))
-        family.max_terms = 2
-        with pytest.raises(ResourceLimitError):
+        with config.scoped_max_terms(2), pytest.raises(ResourceLimitError):
             family.generator(3)
 
     def test_cap_errors_name_the_generator(self, std_o2):
         system = standard_rfs_o2()
-        system.max_terms = 8
         family = compose_with_endomorphism(std_o2, rho(2))
-        family.max_terms = 2
-        for grow in (lambda: system.generator(6), lambda: family.generator(3)):
-            with pytest.raises(ResourceLimitError) as err:
+        for grow, cap in ((lambda: system.generator(6), 8), (lambda: family.generator(3), 2)):
+            with config.scoped_max_terms(cap), pytest.raises(ResourceLimitError) as err:
                 grow()
             assert err.value.operation == "generator"
 
     def test_zero_cap_is_not_the_default(self):
-        # max_terms=0 is a cap of zero terms, not "unset".
+        # A scoped cap of 0 is a cap of zero terms, not "unset".
         system = standard_rfs_o2()
-        system.max_terms = 0
-        with pytest.raises(ResourceLimitError) as err:
+        with config.scoped_max_terms(0), pytest.raises(ResourceLimitError) as err:
             system.generator(2)
         assert err.value.cap == 0
 
@@ -439,10 +442,58 @@ class TestValidationDecisions:
                    "charged-seed": CHARGED_SEED, "flipped-green": FLIPPED_GREEN,
                    "identity-phi-green": green}[name]
         if valid:
-            assert system_from_dict(payload).validation.ok
+            assert system_from_dict(payload)._validate().ok
         else:
             with pytest.raises(SystemValidationError):
                 system_from_dict(payload)
+
+
+class TestValidationWords:
+    """Validation lists the words of length <= 1 only to refute a failed
+    recursive certificate."""
+
+    def _count_sweeps(self, monkeypatch):
+        built = []
+        words = rfs_module.sweep_words
+        monkeypatch.setattr(rfs_module, "sweep_words",
+                            lambda *args: built.append(args[2]) or words(*args))
+        return built
+
+    def test_a_holding_certificate_lists_no_words(self, monkeypatch):
+        built = self._count_sweeps(monkeypatch)
+        standard_rfs_p(3)
+        assert built == []
+
+    def test_a_failed_certificate_is_refuted_on_words(self, monkeypatch, std_o2):
+        built = self._count_sweeps(monkeypatch)
+        # z = s1 X s1* + s2 X s2*: z(I) = I, so {a_1, z(I)} = 2 a_1 != 0.
+        report = validate_system(RfsSystem(std_o2.seeds, RecursiveMap(2, (
+            (1, 1, 1), (1, 2, 2))), rho(2), validate=False))
+        assert built == ["recursive.certificate"]
+        line = next(r for r in report if r.check == "recursive.certificate")
+        assert line.status == "fail" and line.witness == "{a_1, z(I)} != 0"
+
+
+class TestSignMatrix:
+    """A map holds its net sign matrix as a ``cuntz.tensor`` matrix."""
+
+    def test_net_signs_as_sorted_entries(self):
+        z = RecursiveMap(2, ((-1, 2, 2), (1, 1, 2), (1, 1, 1), (-1, 1, 2)))
+        assert z.sandwich_matrix() == ((1, 1, 1), (2, 2, -1))
+        assert z.apply(Element.word(2, (1,), (2,))) == Element(2, {
+            Monomial((1, 1), (1, 2)): 1, Monomial((2, 1), (2, 2)): -1})
+
+    @pytest.mark.parametrize("terms, symmetric, normalizing", [
+        (((1, 1, 1), (-1, 2, 2)), True, True),
+        (((1, 1, 2), (1, 2, 1)), True, True),
+        (((1, 1, 2), (-1, 2, 1)), False, False),
+        (((1, 1, 1),), True, False),
+        (((1, 1, 1), (1, 1, 2), (-1, 2, 2)), False, True),  # an involution
+    ])
+    def test_certificates_are_matrix_identities(self, terms, symmetric, normalizing):
+        z = RecursiveMap(2, terms)
+        assert z.is_adjoint_compatible() is symmetric
+        assert rfs_module.normalization_matrix_holds(z) is normalizing
 
 
 class TestValidateSystem:
