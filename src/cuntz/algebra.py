@@ -15,7 +15,10 @@ decision procedure for equality.
 The product of two words is nonzero only when one middle word is a prefix
 of the other, so ``Element.__mul__`` indexes both operands by their middle
 words and joins them on the shared prefix: its cost follows the number of
-surviving term pairs, not the product of the operand sizes.
+surviving term pairs, not the product of the operand sizes.  Each element
+builds its index once per role, left or right operand, the first time a
+product needs it, and keeps it: an element used in many products (the
+images of a recursive map in the normalization sweep) is indexed once.
 
 Orientation convention: a :class:`Monomial` stores the creation word
 ``(a1..am)`` and the annihilation word ``(b1..bn)``, where the operator
@@ -76,6 +79,14 @@ class Monomial(NamedTuple):
 
 
 IDENTITY_WORD = Monomial((), ())
+
+_tuple_new = tuple.__new__
+
+
+def _word(create: tuple[int, ...], annihilate: tuple[int, ...]) -> Monomial:
+    """``Monomial(create, annihilate)`` without the NamedTuple constructor's
+    call overhead, for the builders that form a word per term."""
+    return _tuple_new(Monomial, (create, annihilate))
 
 
 def exact_scalar(c) -> Scalar:
@@ -185,6 +196,22 @@ def monomial_mul(x: Monomial, y: Monomial, d: Optional[int] = None) -> Optional[
     return Monomial(x.create, y.annihilate + xa[lc:])
 
 
+def _join_index(terms: dict, side: int) -> tuple[dict, list[int]]:
+    """Terms grouped by their annihilation word (``side`` 1, a left operand)
+    or creation word (``side`` 0, a right operand): ``{word: [(other word,
+    coefficient), ...]}``, with the sorted lengths of the grouping words."""
+    groups: dict[tuple, list] = {}
+    other = 1 - side
+    for m, c in terms.items():
+        word = m[side]
+        entries = groups.get(word)
+        if entries is None:
+            groups[word] = [(m[other], c)]
+        else:
+            entries.append((m[other], c))
+    return groups, sorted({len(word) for word in groups})
+
+
 def term_sort_key(m: Monomial):
     """Canonical term order: by grade, then creation length, then words."""
     return (m.excess, len(m.create), m.create, m.annihilate)
@@ -199,7 +226,9 @@ class Element:
     is :meth:`equals`, which canonicalizes the difference first.
     """
 
-    __slots__ = ("d", "_terms")
+    # ``_left`` and ``_right`` hold the join indexes of ``__mul__``; they are
+    # set on the first product that needs them, never by a constructor.
+    __slots__ = ("d", "_terms", "_left", "_right")
 
     def __init__(self, d: int, terms=None):
         _check_d(d)
@@ -295,11 +324,16 @@ class Element:
         min(|xa|, |yc|)).  The cost is linear in the operands times the
         number of distinct word lengths, plus the pairs that survive.  When
         one operand is a single word the other is scanned directly.
+
+        Each operand is indexed once per element and role: the grouping is
+        built the first time the element is a left (or right) operand of a
+        join and kept on it for its later products.
         """
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, Element):
-            return NotImplemented
+        if type(other) is not Element:
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            if not isinstance(other, Element):
+                return NotImplemented
         self._require_same_d(other)
         xt, yt = self._terms, other._terms
         out: dict[Monomial, Scalar] = {}
@@ -314,22 +348,26 @@ class Element:
                     if la <= lc:
                         if xa != yc[:la]:
                             continue
-                        key = Monomial(xc + yc[la:], ya)
+                        key = _word(xc + yc[la:], ya)
                     else:
                         if yc != xa[:lc]:
                             continue
-                        key = Monomial(xc, ya + xa[lc:])
+                        key = _word(xc, ya + xa[lc:])
                     acc = get(key)
                     out[key] = ca * cb if acc is None else acc + ca * cb
         elif xt and yt:
-            left: dict[tuple, list] = {}
-            for (xc, xa), ca in xt.items():
-                left.setdefault(xa, []).append((xc, ca))
-            right: dict[tuple, list] = {}
-            for (yc, ya), cb in yt.items():
-                right.setdefault(yc, []).append((ya, cb))
-            left_lengths = sorted({len(xa) for xa in left})
-            right_lengths = sorted({len(yc) for yc in right})
+            try:
+                left, left_lengths = self._left
+            except AttributeError:
+                index = _join_index(xt, 1)
+                object.__setattr__(self, "_left", index)
+                left, left_lengths = index
+            try:
+                right, right_lengths = other._right
+            except AttributeError:
+                index = _join_index(yt, 0)
+                object.__setattr__(other, "_right", index)
+                right, right_lengths = index
             # |xa| <= |yc|: xa == yc[:la], the rest of yc moves to the left.
             for yc, ys in right.items():
                 lc = len(yc)
@@ -343,7 +381,7 @@ class Element:
                     for xc, ca in xs:
                         create = xc + tail
                         for ya, cb in ys:
-                            key = Monomial(create, ya)
+                            key = _word(create, ya)
                             acc = get(key)
                             out[key] = ca * cb if acc is None else acc + ca * cb
             # |xa| > |yc|: yc == xa[:lc], the rest of xa moves to the right.
@@ -359,10 +397,12 @@ class Element:
                     for ya, cb in ys:
                         annihilate = ya + tail
                         for xc, ca in xs:
-                            key = Monomial(xc, annihilate)
+                            key = _word(xc, annihilate)
                             acc = get(key)
                             out[key] = ca * cb if acc is None else acc + ca * cb
-        return Element._make(self.d, {m: c for m, c in out.items() if c})
+        if 0 in out.values():
+            out = {m: c for m, c in out.items() if c}
+        return Element._make(self.d, out)
 
     def __rmul__(self, other) -> "Element":
         if isinstance(other, (int, Fraction)):
@@ -372,7 +412,7 @@ class Element:
     def adjoint(self) -> "Element":
         """The *-involution: reverses words, keeps (rational) coefficients."""
         return Element._make(
-            self.d, {Monomial(a, c): k for (c, a), k in self._terms.items()}
+            self.d, {_word(a, c): k for (c, a), k in self._terms.items()}
         )
 
     # -- canonical form ----------------------------------------------------
@@ -408,7 +448,7 @@ class Element:
         # The words that are not raised are distinct terms of self: none merge.
         out = {m: c for m, c, gap in pending if not gap}
         return Element._make(self.d, accumulate(out, (
-            (Monomial(m.create + w, m.annihilate + w), c)
+            (_word(m.create + w, m.annihilate + w), c)
             for m, c, gap in pending if gap
             for w in itertools.product(alphabet, repeat=gap))))
 
@@ -417,6 +457,10 @@ class Element:
         if not isinstance(other, Element):
             raise TypeError(f"cannot compare Element with {type(other).__name__}")
         self._require_same_d(other)
+        # Equal term maps: no coefficient is stored as 0, so the difference
+        # below would be empty.
+        if self._terms == other._terms:
+            return True
         # Inline, not accumulate: equals runs once per sweep candidate, and a
         # call per comparison costs the rfs-sweep workload time.
         diff = dict(self._terms)

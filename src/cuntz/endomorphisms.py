@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import Element, Monomial, Scalar, accumulate, identity, isometry
+from .algebra import Element, Monomial, Scalar, _word, accumulate, identity, isometry
 from .errors import AlphabetMismatchError, EndomorphismValidationError, IndexRangeError
 
 
@@ -127,14 +127,15 @@ def _sandwich_terms(x: Element, keep_unit: bool) -> dict[Monomial, Scalar]:
     vanishes.  With ``keep_unit`` the identity word maps to itself
     (sum_i s_i s_i* = I), as a unital endomorphism's image of I.
     """
-    alphabet = range(1, x.d + 1)
+    letters = [(i,) for i in range(1, x.d + 1)]
     out: dict[Monomial, Scalar] = {}
-    for (create, annihilate), c in x.terms.items():
+    for m, c in x.terms.items():
+        create, annihilate = m
         if keep_unit and not create and not annihilate:
-            out[Monomial(create, annihilate)] = c
+            out[m] = c
             continue
-        for i in alphabet:
-            out[Monomial((i,) + create, (i,) + annihilate)] = c
+        for i in letters:
+            out[_word(i + create, i + annihilate)] = c
     return out
 
 

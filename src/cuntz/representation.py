@@ -180,12 +180,13 @@ def rep_generator(family, n: int, v: StateVector, adjoint: bool = False) -> Stat
     def component(alpha: int, level: int) -> StateVector:
         d = family.d
         seed = family.seeds[alpha - 1]
-        # written[r]: (sign, letter written) of each sandwich that reads digit r
-        written: dict[int, list[tuple[int, int]]] = {r: [] for r in range(1, d + 1)}
+        # written[r]: (sign, letter written) of each sandwich that reads digit
+        # r, keyed by the map's own letters: a digit no sandwich reads is absent.
+        written: dict[int, list[tuple[int, int]]] = {}
         for sign, left, right in family.zetas[alpha - 1].terms:
             if adjoint:
                 left, right = right, left
-            written[right].append((sign, left))
+            written.setdefault(right, []).append((sign, left))
         if adjoint:
             seed = seed.adjoint()
         total: dict[int, Scalar] = {}
@@ -203,7 +204,7 @@ def rep_generator(family, n: int, v: StateVector, adjoint: bool = False) -> Stat
                 # Inline, not accumulate: a level maps few amplitudes, and a call
                 # per level costs fock_build time.
                 out: dict[int, Scalar] = {}
-                for sign, u in written[r]:
+                for sign, u in written.get(r, ()):
                     for m, c in w.items():
                         key = d * (m - 1) + u
                         cc = c if sign > 0 else -c

@@ -49,6 +49,7 @@ from .algebra import (
     Element,
     Monomial,
     Scalar,
+    _word,
     accumulate,
     anticommutator,
     eliminate,
@@ -97,7 +98,7 @@ class RecursiveMap:
         words give distinct words, so no terms merge or cancel."""
         if x.d != self.d:
             raise AlphabetMismatchError(f"d mismatch: {x.d} vs {self.d}")
-        return Element._make(self.d, {Monomial((u,) + a, (v,) + b): sign * c
+        return Element._make(self.d, {_word((u,) + a, (v,) + b): sign * c
                                       for u, v, sign in self._matrix
                                       for (a, b), c in x.terms.items()})
 

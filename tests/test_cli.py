@@ -1,9 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import cuntz
 from cuntz import Element, Monomial, RecursiveMap, standard_rfs_p
 from cuntz.cli import main
 from cuntz.serialize import element_to_dict, rfs_to_dict, vector_to_dict
@@ -14,6 +19,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, limit_bytes=None):
+    """``python -m cuntz *argv`` in a fresh interpreter, importing this
+    checkout's package; ``limit_bytes`` caps the child's address space."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cuntz.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    return subprocess.run([sys.executable, "-m", "cuntz", *argv], env=env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit if limit_bytes else None)
+
+
+class TestModuleEntry:
+    def test_python_m_cuntz_runs_the_command(self, capsys):
+        argv = ("verify", "--system", "std-o2", "--suite", "seed")
+        done = run_module(*argv)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert (done.returncode, done.stdout) == run(capsys, *argv)[:2]
 
 
 class TestEmbed:
@@ -478,6 +506,22 @@ class TestSweepBudget:
             code, out, err = run(capsys, command[0], "--system", str(path), *command[1:])
             assert code == 1
             assert err.startswith("invalid system: 2/6 checks failed; first: seed.mixed")
+
+
+    def test_huge_alphabet_vacuum_stays_small(self, tmp_path):
+        # d = 10^30: the generator's digit table holds only the letters the
+        # map reads, so the vacuum check runs in a 1.5 GB address space.
+        d = 10**30
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "kind": "rfs", "d": d, "p": 1, "seeds": [{"d": d, "terms": []}],
+            "zeta": [{"sign": 1, "left": 1, "right": 1}, {"sign": -1, "left": 2, "right": 2}],
+            "phi": "rho"}))
+        done = run_module("verify", "--system", str(path), "--suite", "vacuum", "--N", "3",
+                          limit_bytes=3 << 29)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout.startswith("[PASS] vacuum.annihilation")
 
 
 class TestRangeFlags:

@@ -4,6 +4,10 @@
 a pair that dies.  The reference below forms every pair of terms and reduces
 it with ``monomial_mul``; the two must give identical term maps.
 
+Each element keeps the index it was joined by, one per role (left or right
+operand), from its first product on.  The cached-index tests repeat products
+and reuse one element in both roles, and hold every result to the reference.
+
 Coefficients are stored as ``int`` when integral and as ``Fraction``
 otherwise, and arithmetic may leave an integral ``Fraction`` behind.  The
 mixed tests hold the product, ``normal_form`` and ``rep_apply`` on such
@@ -15,7 +19,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cuntz import Element, Monomial, StateVector, monomial_mul, rep_apply, standard_rpfs_p
+from cuntz import (Element, Monomial, StateVector, algebra, monomial_mul, rep_apply,
+                   standard_rpfs_p, verify_normalization)
+from cuntz.serialize import element_to_dict
 
 
 def pairwise_product(x: Element, y: Element) -> dict:
@@ -165,3 +171,91 @@ def test_int_operands_stay_int(pair):
     results = [(x * y).terms, (x + y).terms, x.normal_form().terms, (x * y).adjoint().terms,
                rep_apply(x, v).amps, x.scale(-2).terms]
     assert all(type(c) is int for r in results for c in r.values())
+
+
+# -- the join index kept on each element ----------------------------------------
+
+
+def single_words(d):
+    index = st.integers(1, d)
+    words = st.lists(index, max_size=5).map(tuple)
+    return st.builds(lambda c, a, k: Element(d, {(c, a): k}), words, words,
+                     st.sampled_from([1, -1, 2]))
+
+
+def any_operands(d):
+    return st.one_of(operands(d), single_words(d), st.just(Element.zero(d)))
+
+
+@st.composite
+def operand_triples(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    return tuple(draw(any_operands(d)) for _ in range(3))
+
+
+def snapshot(x: Element):
+    return dict(x.terms), str(x), element_to_dict(x), Element._make(x.d, dict(x.terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(operand_triples())
+def test_cached_index_matches_pairwise_reference(triple):
+    x, y, z = triple
+    before = [snapshot(e) for e in triple]
+    # Each element as left operand, as right operand and as both, in an order
+    # that reuses an index built by an earlier product; then all again, now
+    # that every index exists.
+    for _ in range(2):
+        for a, b in ((x, y), (y, x), (x, x), (z, x), (x, z), (y, z), (z, z)):
+            assert_matches_reference(a, b)
+    for e, (terms, text, as_dict, copy) in zip(triple, before):
+        assert e.terms == terms
+        assert str(e) == text
+        assert element_to_dict(e) == as_dict
+        assert e == copy
+
+
+def test_cached_index_keeps_element_immutable():
+    x = Element(2, {((1,), (2,)): 1, ((2,), (1, 1)): -1})
+    y = Element(2, {((2,), ()): 2, ((1, 2), (1,)): 1})
+    first = x * y
+    assert x * y == first and (x * y).terms == pairwise_product(x, y)
+    for name in ("d", "_terms", "_left", "_right"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    with pytest.raises(AttributeError):
+        x.extra = 1
+
+
+def test_normalization_sweep_indexes_each_image_once_per_role(monkeypatch, rfs3):
+    # 209 sweep words at depth 2 and d = 8; each image z(X) is a multi-term
+    # operand of 418 products, but is grouped at most once as left and once
+    # as right operand.  The word products x*y have a one-word operand and
+    # build no index.
+    calls = []
+    join_index = algebra._join_index
+    monkeypatch.setattr(algebra, "_join_index",
+                        lambda terms, side: calls.append(side) or join_index(terms, side))
+    report = verify_normalization(rfs3, depth=2)
+    assert report.ok
+    assert 0 < len(calls) <= 2 * 209
+
+
+def test_equals_on_equal_terms_skips_normal_form(monkeypatch):
+    calls = []
+    normal_form = Element.normal_form
+    monkeypatch.setattr(Element, "normal_form",
+                        lambda self: calls.append(self) or normal_form(self))
+    x = Element(3, {((1, 2), (3,)): 2, ((), ()): -1, ((3,), ()): Fraction(1, 2)})
+    assert x.equals(Element._make(3, dict(x.terms)))
+    assert x.equals(x)
+    assert Element.zero(3).equals(Element.zero(3))
+    assert calls == []
+    # As many terms but not equal: the difference is formed and raised.
+    assert not x.equals(x.scale(2))
+    assert len(calls) == 1
+    calls.clear()
+    # Equal in O_3 but not term by term: the normal form decides.
+    unit = Element.word(3, (), ())
+    assert unit.equals(Element(3, {((i,), (i,)): 1 for i in (1, 2, 3)}))
+    assert len(calls) == 1
