@@ -63,22 +63,12 @@ class Monomial(NamedTuple):
         return len(self.create) - len(self.annihilate)
 
     @property
-    def word_length(self) -> int:
-        """Total number of letters, |create| + |annihilate|."""
-        return len(self.create) + len(self.annihilate)
-
-    @property
     def is_identity(self) -> bool:
         return not self.create and not self.annihilate
-
-    def adjoint(self) -> "Monomial":
-        return Monomial(self.annihilate, self.create)
 
     def __str__(self) -> str:
         return monomial_to_text(self)
 
-
-IDENTITY_WORD = Monomial((), ())
 
 _tuple_new = tuple.__new__
 
@@ -162,7 +152,9 @@ def eliminate(basis: dict, vec: dict) -> dict:
 
 
 def _check_d(d) -> int:
-    if not isinstance(d, int) or d < 2:
+    # ``type``, not ``isinstance``, here and in _check_word: a bool (JSON
+    # ``true``) is an int, but neither an alphabet size nor a letter.
+    if type(d) is not int or d < 2:
         raise IndexRangeError(f"alphabet size must be an integer >= 2, got {d!r}")
     return d
 
@@ -170,7 +162,7 @@ def _check_d(d) -> int:
 def _check_word(word, d) -> tuple[int, ...]:
     word = tuple(word)
     for i in word:
-        if not isinstance(i, int) or not 1 <= i <= d:
+        if type(i) is not int or not 1 <= i <= d:
             raise IndexRangeError(f"index {i!r} outside 1..{d}")
     return word
 
@@ -260,6 +252,10 @@ class Element:
 
     def __setattr__(self, name, value):
         raise AttributeError("Element is immutable")
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through _make; the join indexes stay behind.
+        return Element._make, (self.d, dict(self._terms))
 
     # -- inspection --------------------------------------------------------
 

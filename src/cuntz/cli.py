@@ -294,6 +294,10 @@ def _cmd_normal_form(args) -> int:
 def _cmd_endo_apply(args) -> int:
     element = element_from_dict(_load_json(args.element))
     endo = endomorphism_from_spec(args.endo, element.d)
+    if endo.is_canonical:
+        # rho gives d words per term, and keeps the identity word as one.
+        unit = ((), ()) in element.terms
+        config.check_cap(element.d * (len(element) - unit) + unit, "endo-apply")
     _print_element(endo.apply(element).normal_form(), args.format)
     return 0
 

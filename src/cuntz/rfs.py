@@ -68,7 +68,7 @@ from .errors import (
     SystemValidationError,
 )
 from .reports import INCONCLUSIVE, Report, sweep_first_failure
-from .tensor import Matrix, Tensor, _identity, _matmul, _matrix, _transpose, sandwich_power
+from .tensor import Matrix, Tensor, _is_identity, _matmul, _matrix, _transpose, sandwich_power
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def normalization_matrix_holds(z: RecursiveMap) -> bool:
     Valid as an iff whenever the declared phi equals rho on images.
     """
     square = _matmul(z.sandwich_matrix(), z.sandwich_matrix())
-    return len(square) == z.d and square == _identity(z.d)  # no huge identity built
+    return _is_identity(square, z.d)
 
 
 def bimodule_certificate(seed: Element, z: RecursiveMap, relation_sign: int):

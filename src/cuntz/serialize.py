@@ -67,7 +67,7 @@ def element_to_dict(x: Element) -> dict:
 
 def element_from_dict(obj) -> Element:
     _expect(isinstance(obj, dict), "element must be an object")
-    _expect(isinstance(obj.get("d"), int), "element needs an integer 'd'")
+    _expect(type(obj.get("d")) is int, "element needs an integer 'd'")
     raw_terms = obj.get("terms", [])
     _expect(isinstance(raw_terms, list), "'terms' must be a list")
     terms = []
@@ -120,8 +120,8 @@ def zeta_from_list(raw, d: int) -> RecursiveMap:
     for entry in raw:
         _expect(isinstance(entry, dict), "each sandwich term must be an object")
         sign, left, right = entry.get("sign"), entry.get("left"), entry.get("right")
-        _expect(sign in (1, -1), f"'sign' must be +-1, got {sign!r}")
-        _expect(isinstance(left, int) and isinstance(right, int),
+        _expect(type(sign) is int and sign in (1, -1), f"'sign' must be +-1, got {sign!r}")
+        _expect(type(left) is int and type(right) is int,
                 "'left'/'right' must be integers")
         terms.append((sign, left, right))
     try:
@@ -159,14 +159,15 @@ def rfs_to_dict(sys: RfsSystem) -> dict:
 def rfs_from_dict(obj, validate: bool = True) -> RfsSystem:
     _expect(isinstance(obj, dict), "system must be an object")
     d = obj.get("d")
-    _expect(isinstance(d, int), "system needs an integer 'd'")
+    _expect(type(d) is int, "system needs an integer 'd'")
     seeds_raw = obj.get("seeds")
     _expect(isinstance(seeds_raw, list) and seeds_raw, "system needs a 'seeds' list")
     seeds = [element_from_dict(entry) for entry in seeds_raw]
     zeta = zeta_from_list(obj.get("zeta"), d)
     phi = _phi_from_json(obj.get("phi"), d)
     if "p" in obj:
-        _expect(obj["p"] == len(seeds), "'p' must match the number of seeds")
+        _expect(type(obj["p"]) is int and obj["p"] == len(seeds),
+                "'p' must match the number of seeds")
     try:
         return RfsSystem(seeds, zeta, phi, label=obj.get("label", "json-rfs"),
                          validate=validate)
@@ -192,7 +193,7 @@ def green_to_dict(g: GreenSystem) -> dict:
 def green_from_dict(obj, validate: bool = True) -> GreenSystem:
     _expect(isinstance(obj, dict), "system must be an object")
     d = obj.get("d")
-    _expect(isinstance(d, int), "system needs an integer 'd'")
+    _expect(type(d) is int, "system needs an integer 'd'")
     triads_raw = obj.get("triads")
     _expect(isinstance(triads_raw, list) and triads_raw, "system needs a 'triads' list")
     seeds, zetas, phis = [], [], []
@@ -202,7 +203,8 @@ def green_from_dict(obj, validate: bool = True) -> GreenSystem:
         zetas.append(zeta_from_list(entry.get("zeta"), d))
         phis.append(_phi_from_json(entry.get("phi"), d))
     if "p" in obj:
-        _expect(obj["p"] == len(seeds), "'p' must match the number of triads")
+        _expect(type(obj["p"]) is int and obj["p"] == len(seeds),
+                "'p' must match the number of triads")
     return GreenSystem(seeds, zetas, phis, label=obj.get("label", "json-rpfs"),
                        validate=validate)
 

@@ -8,6 +8,13 @@ charge-zero subalgebra of O_d is the infinite tensor product of M_d, and a
 :class:`Tensor` holds an element of it as a sum of elementary tensors of
 exact (``int`` or ``Fraction``) matrices, every site past the end being I.
 
+So a key never ends in I, and one rule says which factor is I: a matrix of
+exactly the d entries (i, i, 1), tested without building anything.  Every
+key is trimmed of its trailing identity factors by that test.  The d x d
+identity itself is built in one place only: :meth:`Tensor.is_zero` pads a
+shorter key with it, after the term cap admits its d entries, so an
+alphabet too large to list exits at the cap instead of exhausting memory.
+
 A single-letter sandwich map X -> sum_t sign_t s_{u_t} X s_{v_t}* is
 X -> M (x) X, with M the map's sign matrix; ``cuntz.rfs.RecursiveMap`` holds
 M as a :data:`Matrix` of this module, and its symmetry and normalization
@@ -41,8 +48,9 @@ def _matrix(entries: dict[tuple[int, int], Scalar]) -> Matrix:
     return tuple(sorted((i, j, c) for (i, j), c in entries.items() if c))
 
 
-def _identity(d: int) -> Matrix:
-    return tuple((i, i, 1) for i in range(1, d + 1))
+def _is_identity(m: Matrix, d: int) -> bool:
+    """Whether ``m`` is the d x d identity; builds nothing."""
+    return len(m) == d and all(e == (i, i, 1) for i, e in enumerate(m, 1))
 
 
 def _matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -60,9 +68,9 @@ def _transpose(a: Matrix) -> Matrix:
     return tuple(sorted((j, i, c) for i, j, c in a))
 
 
-def _trimmed(sites: Sites, unit: Matrix) -> Sites:
-    """``sites`` without its trailing identity factors."""
-    while sites and sites[-1] == unit:
+def _trimmed(sites: Sites, d: int) -> Sites:
+    """``sites`` without its trailing identity factors: the one form of a key."""
+    while sites and _is_identity(sites[-1], d):
         sites = sites[:-1]
     return sites
 
@@ -97,14 +105,13 @@ class Tensor:
             raise CuntzError("only a charge-zero element has a tensor form")
         last: dict[Sites, dict[tuple[int, int], Scalar]] = {}
         out: dict[Sites, Scalar] = {}
-        unit = _identity(x.d)
         for (create, annihilate), c in x.terms.items():
             if not create:
                 out[()] = c  # the one identity word
                 continue
             prefix = tuple(((a, b, 1),) for a, b in zip(create[:-1], annihilate[:-1]))
             last.setdefault(prefix, {})[(create[-1], annihilate[-1])] = c
-        accumulate(out, ((_trimmed(prefix + (_matrix(entries),), unit), 1)
+        accumulate(out, ((_trimmed(prefix + (_matrix(entries),), x.d), 1)
                          for prefix, entries in last.items()))
         return cls._capped(x.d, out)
 
@@ -130,7 +137,7 @@ class Tensor:
 
     def __mul__(self, other: "Tensor") -> "Tensor":
         """Site by site; a pair of terms with a zero site product is dropped."""
-        unit = _identity(self.d)
+        d = self.d
         products: dict[tuple[Matrix, Matrix], Matrix] = {}
 
         def pairs():
@@ -148,11 +155,9 @@ class Tensor:
                         # Past the shorter operand the longer one's factors stay.
                         n = len(sites)
                         sites.extend(sa[n:] or sb[n:])
-                        while sites and sites[-1] == unit:
-                            sites.pop()
-                        yield tuple(sites), ca * cb
+                        yield _trimmed(tuple(sites), d), ca * cb
 
-        return Tensor._capped(self.d, accumulate({}, pairs()))
+        return Tensor._capped(d, accumulate({}, pairs()))
 
     def adjoint(self) -> "Tensor":
         """The *-involution: every site factor transposed."""
@@ -176,15 +181,21 @@ class Tensor:
           number of columns.
 
         Past the last site every right part is empty, so one column is left,
-        and X = 0 exactly when its row is zero.
+        and X = 0 exactly when its row is zero.  Keys shorter than the
+        longest are first padded with I, whose d entries count against the
+        term cap (``identity entries``).
         """
         if not self.terms:
             return True
         d = self.d
         dd = d * d
         n = max(len(sites) for sites in self.terms)
-        unit = _identity(d)
-        padded = [sites + (unit,) * (n - len(sites)) for sites in self.terms]
+        padded = list(self.terms)
+        if any(len(sites) < n for sites in padded):
+            # I has d entries: a huge alphabet meets the cap before it is listed.
+            config.check_cap(d, "tensor", what="identity entries")
+            unit = tuple((i, i, 1) for i in range(1, d + 1))
+            padded = [sites + (unit,) * (n - len(sites)) for sites in padded]
         # Sites whose factor every column shares are passed over up front.
         varying = []
         for k, factors in enumerate(zip(*padded)):
@@ -234,7 +245,6 @@ def sandwich_power(matrix: Matrix, seed: Element, k: int) -> Tensor:
     must be charge-zero."""
     base = Tensor.from_element(seed)
     string = (matrix,) * k
-    unit = _identity(seed.d)
     return Tensor._capped(seed.d, accumulate(
-        {}, ((_trimmed(string + sites, unit), c) for sites, c in base.terms.items())))
+        {}, ((_trimmed(string + sites, seed.d), c) for sites, c in base.terms.items())))
 

@@ -225,6 +225,34 @@ class TestNormalFormAndEndo:
         assert code == 0
         assert out.strip() == "s1 s1 s2* s1* + s2 s1 s2* s2*"
 
+    @pytest.mark.parametrize("d, words", [(10**30, 1), (3000, 29)], ids=["d-1e30", "d-3000"])
+    def test_endo_apply_rho_counts_before_building(self, tmp_path, d, words):
+        # rho gives d words per term: 10^30, or 3000 x 29^2 = 2,523,000.  In
+        # a 1.5 GB address space, so that building them fails fast.
+        el = Element(d, {((a,), (b,)): 1 for a in range(1, words + 1)
+                         for b in range(1, words + 1)})
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(element_to_dict(el)))
+        done = run_module("endo-apply", "--endo", "rho", "--element", str(path),
+                          limit_bytes=3 << 29)
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.strip() == (f"resource cap: terms count {d * words * words} "
+                                       "exceeds cap 500000 in endo-apply")
+
+    def test_endo_apply_rho_counts_the_identity_word_once(self, capsys, monkeypatch, tmp_path):
+        # I + s1 s2*: rho keeps I and gives 2 words for s1 s2*, 3 in all.
+        el = Element(2, {((), ()): 1, ((1,), (2,)): 1})
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(element_to_dict(el)))
+        argv = ("endo-apply", "--endo", "rho", "--element", str(path))
+        monkeypatch.setenv("CUNTZ_MAX_TERMS", "2")
+        code, _, err = run(capsys, *argv)
+        assert (code, err.strip()) == (3, "resource cap: terms count 3 exceeds cap 2 in endo-apply")
+        monkeypatch.setenv("CUNTZ_MAX_TERMS", "3")
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and err.endswith("in normal_form\n")  # past the count
+
     def test_endo_apply_phi1_charge_mixing(self, capsys, tmp_path):
         el = Element.word(2, (1,), (2,))
         path = tmp_path / "x.json"
@@ -241,6 +269,70 @@ class TestNormalFormAndEndo:
         path.write_text(json.dumps(element_to_dict(Element.word(2, (1,), ()))))
         code, _, err = run(capsys, "endo-apply", "--endo", "zeta9", "--element", str(path))
         assert code == 2
+
+
+def _isometry_images(d):
+    return [element_to_dict(Element.word(d, (i,), ())) for i in range(1, d + 1)]
+
+
+_SEED = element_to_dict(Element.word(2, (1,), (2,)))
+_RFS = {"kind": "rfs", "d": 2, "p": 1, "seeds": [_SEED], "phi": "rho",
+        "zeta": [{"sign": 1, "left": 1, "right": 1}, {"sign": -1, "left": 2, "right": 2}]}
+
+
+def _with_sandwich(key, value):
+    return {**_RFS, "zeta": [{**_RFS["zeta"][0], key: value}, _RFS["zeta"][1]]}
+
+
+# Each case: argv, with {name} standing for a file written from files[name]
+# (a string is written as it is, anything else as JSON).
+MALFORMED = {
+    "embed-n-0": (("embed", "--system", "std-o2", "--n", "0"), {}),
+    "fock-modes-not-integers": (("fock", "--system", "std-o2", "--modes", "1,x"), {}),
+    "fock-mode-0": (("fock", "--system", "std-o2", "--modes", "0"), {}),
+    "missing-element-file": (("normal-form", "--element", "{absent}"), {}),
+    "system-invalid-json": (("verify", "--system", "{system}", "--suite", "seed"),
+                            {"system": "{not json"}),
+    "endo-invalid-json": (("endo-apply", "--endo", "{endo}", "--element", "{x}"),
+                          {"endo": "{not json", "x": _SEED}),
+    "endo-no-images": (("endo-apply", "--endo", "{endo}", "--element", "{x}"),
+                       {"endo": {"images": []}, "x": _SEED}),
+    "endo-mixed-d": (("endo-apply", "--endo", "{endo}", "--element", "{x}"),
+                     {"endo": {"images": _isometry_images(2)[:1] + _isometry_images(3)[1:2]},
+                      "x": _SEED}),
+    "endo-other-d": (("endo-apply", "--endo", "{endo}", "--element", "{x}"),
+                     {"endo": {"images": _isometry_images(3)}, "x": _SEED}),
+    "kind-xyz": (("verify", "--system", "{system}", "--suite", "seed"),
+                 {"system": {**_RFS, "kind": "xyz"}}),
+    "bool-letter": (("normal-form", "--element", "{x}"),
+                    {"x": {"d": 2, "terms": [
+                        {"coeff": "1", "create": [True, 2], "annihilate": [1]},
+                        {"coeff": "1", "create": [1, 2], "annihilate": [1]}]}}),
+    "bool-d": (("normal-form", "--element", "{x}"), {"x": {**_SEED, "d": True}}),
+    "bool-sign": (("embed", "--system", "{system}", "--n", "2"),
+                  {"system": _with_sandwich("sign", True)}),
+    "bool-left": (("embed", "--system", "{system}", "--n", "2"),
+                  {"system": _with_sandwich("left", True)}),
+    "bool-p": (("embed", "--system", "{system}", "--n", "2"), {"system": {**_RFS, "p": True}}),
+}
+
+
+class TestMalformedInput:
+    """Malformed flags and files exit 2 with one ``error:`` line, no traceback."""
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_exits_2(self, capsys, tmp_path, case):
+        argv, files = MALFORMED[case]
+        paths = {"absent": str(tmp_path / "absent.json")}
+        for name, payload in files.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+            paths[name] = str(path)
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestRoundTrip:
@@ -522,6 +614,23 @@ class TestSweepBudget:
         assert done.returncode == 0, done.stderr
         assert "Traceback" not in done.stderr
         assert done.stdout.startswith("[PASS] vacuum.annihilation")
+
+    def test_huge_alphabet_car_exits_3(self, tmp_path):
+        # d = 10^30 with the seed s1 s2*: {A_1, A_1*} - I pads a one-site
+        # key with I, an identity of 10^30 entries, which the cap refuses.
+        d = 10**30
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "kind": "rfs", "d": d, "p": 1,
+            "seeds": [element_to_dict(Element.word(d, (1,), (2,)))],
+            "zeta": [{"sign": 1, "left": 1, "right": 1}, {"sign": -1, "left": 2, "right": 2}],
+            "phi": "rho"}))
+        done = run_module("verify", "--system", str(path), "--suite", "car", "--N", "2",
+                          limit_bytes=3 << 29)
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr.strip() == (f"resource cap: identity entries count {d} "
+                                       "exceeds cap 500000 in tensor")
 
 
 class TestRangeFlags:

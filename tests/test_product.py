@@ -14,6 +14,8 @@ mixed tests hold the product, ``normal_form`` and ``rep_apply`` on such
 operands to the same computation with every coefficient a ``Fraction``.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -225,6 +227,23 @@ def test_cached_index_keeps_element_immutable():
             setattr(x, name, None)
     with pytest.raises(AttributeError):
         x.extra = 1
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda x: pickle.loads(pickle.dumps(x))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_and_pickles_round_trip_without_the_index(duplicate):
+    x = Element(2, {((1,), (2,)): 1, ((2,), (1, 1)): Fraction(-1, 2), ((), ()): 3})
+    x * x  # x holds both join indexes
+    assert duplicate(algebra.identity(2)) == algebra.identity(2)
+    y = duplicate(x)
+    assert y == x and y.equals(x) and y.terms is not x.terms
+    assert all(type(m) is Monomial for m in y.terms)
+    with pytest.raises(AttributeError):
+        y.d = 3
+    assert not hasattr(y, "_left") and not hasattr(y, "_right")
+    assert (y * y).terms == pairwise_product(x, x)
+    assert hasattr(y, "_left") and hasattr(y, "_right")
 
 
 def test_normalization_sweep_indexes_each_image_once_per_role(monkeypatch, rfs3):

@@ -119,6 +119,27 @@ def test_identity_padding():
     assert not x.equals(Tensor.zero(2))
 
 
+def test_product_trims_a_last_site_that_multiplies_to_identity():
+    # M M = I for M = diag(1, -1): a last site that is I is dropped from the
+    # key, and an I before a site that is not stays.
+    m = ((1, 1, 1), (2, 2, -1))
+    assert (Tensor(2, {(m,): 1}) * Tensor(2, {(m,): 1})).terms == {(): 1}
+    assert (Tensor(2, {(E11, m): 3}) * Tensor(2, {(E11, m): 1})).terms == {(E11,): 3}
+    assert (Tensor(2, {(m, m): 1}) * Tensor(2, {(m,): -1})).terms == {(I2, m): -1}
+
+
+def test_identity_is_built_only_to_pad_a_shorter_key():
+    # Keys of one length are compared as they are; padding builds I (d
+    # entries), which the cap bounds.
+    with config.scoped_max_terms(1):
+        assert not Tensor(2, {(E11,): 1, (E22,): 1}).is_zero()
+        with pytest.raises(ResourceLimitError) as err:
+            Tensor(2, {(E11,): 1, (E22,): 1, (): -1}).is_zero()
+    assert (err.value.what, err.value.count, err.value.operation) == (
+        "identity entries", 2, "tensor")
+    assert Tensor(2, {(E11,): 1, (E22,): 1, (): -1}).is_zero()
+
+
 def test_charge_nonzero_has_no_tensor_form():
     with pytest.raises(CuntzError):
         Tensor.from_element(Element.word(2, (1,), ()))
