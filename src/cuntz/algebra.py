@@ -37,8 +37,11 @@ and prints like the ``int``.  Floating point never enters:
 
 from __future__ import annotations
 
+import decimal
 import itertools
+import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Union
 
@@ -511,14 +514,28 @@ def unit_words(d: int, monomials) -> list[Element]:
     return [Element._make(d, {m: 1}) for m in monomials]
 
 
+# The context of a sweep word count too long to print: 28 digits, and the
+# widest exponent range.
+_WIDE = decimal.Context(Emax=decimal.MAX_EMAX, traps=[decimal.InvalidOperation])
+
+
 def sweep_words(d: int, depth: int, check: str,
                 candidates=lambda n: n) -> tuple[list[Monomial], list[Element]]:
     """The words of total letter count <= depth (:func:`iter_monomials`), with
     each as an element, for the sweep ``check``.  Its ``candidates(n)`` over
     the n = sum_{t <= depth} (t + 1) d^t words are held to the sweep budget
-    (:func:`cuntz.config.check_sweep`) before any word is built."""
-    n = sum((t + 1) * d**t for t in range(depth + 1))
-    config.check_sweep(check, candidates(n))
+    (:func:`cuntz.config.check_sweep`) before any word is built.  n is taken
+    in closed form: exactly while d^(depth+1) has few enough digits to print
+    (``sys.get_int_max_str_digits()``, or its default when that is off),
+    past that as a 28-digit Decimal, so a refused count is never formed in
+    full."""
+    printable = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    with decimal.localcontext(_WIDE):
+        if (depth + 1) * math.log10(d) < printable:
+            n = (d ** (depth + 1) * ((depth + 1) * (d - 1) - 1) + 1) // (d - 1) ** 2
+        else:
+            n = decimal.Decimal(d) ** (depth + 1) * ((depth + 1) * (d - 1) - 1) / (d - 1) ** 2
+        config.check_sweep(check, candidates(n))
     monomials = list(iter_monomials(d, depth))
     return monomials, unit_words(d, monomials)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import config
@@ -23,6 +22,7 @@ from .errors import (
     ResourceLimitError,
     SchemaError,
     SystemValidationError,
+    decimal_digits,
 )
 from .parafermion import (
     GreenSystem,
@@ -50,6 +50,7 @@ from .serialize import (
     element_from_dict,
     element_to_dict,
     endomorphism_from_spec,
+    load_json,
     system_from_spec,
     vector_from_dict,
     vector_to_dict,
@@ -132,16 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_endo.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
-
-
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError as exc:
-        raise SchemaError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _print_element(el: Element, fmt: str):
@@ -246,8 +237,7 @@ def _require_printable(index: int):
     try:
         str(index)
     except ValueError:
-        digits = int(index.bit_length() * math.log10(2)) + 1
-        raise ResourceLimitError(digits, sys.get_int_max_str_digits(),
+        raise ResourceLimitError(decimal_digits(index), sys.get_int_max_str_digits(),
                                  what="index digits", operation="fock") from None
 
 
@@ -279,20 +269,20 @@ def _cmd_fock(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    element = element_from_dict(_load_json(args.element))
-    vector = vector_from_dict(_load_json(args.vector))
+    element = element_from_dict(load_json(args.element))
+    vector = vector_from_dict(load_json(args.vector))
     _print_vector(rep_apply(element, vector), args.format)
     return 0
 
 
 def _cmd_normal_form(args) -> int:
-    element = element_from_dict(_load_json(args.element))
+    element = element_from_dict(load_json(args.element))
     _print_element(element.normal_form(), args.format)
     return 0
 
 
 def _cmd_endo_apply(args) -> int:
-    element = element_from_dict(_load_json(args.element))
+    element = element_from_dict(load_json(args.element))
     endo = endomorphism_from_spec(args.endo, element.d)
     if endo.is_canonical:
         # rho gives d words per term, and keeps the identity word as one.

@@ -72,8 +72,14 @@ class Endomorphism:
     def image_of_word(self, word: tuple[int, ...]) -> Element:
         cached = self._word_cache.get(word)
         if cached is None:
-            cached = self.image_of_word(word[:-1]) * self.images[word[-1] - 1]
-            self._word_cache[word] = cached
+            # Extend the longest cached prefix (the empty word is always one).
+            k = len(word) - 1
+            while word[:k] not in self._word_cache:
+                k -= 1
+            cached = self._word_cache[word[:k]]
+            for k in range(k, len(word)):
+                cached = cached * self.images[word[k] - 1]
+                self._word_cache[word[:k + 1]] = cached
         return cached
 
     def apply(self, x: Element) -> Element:

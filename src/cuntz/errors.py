@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import decimal
+
 
 class CuntzError(Exception):
     """Base class for all library errors."""
@@ -50,4 +52,24 @@ class ResourceLimitError(CuntzError):
         self.what = what
         self.operation = operation
         where = f" in {operation}" if operation else ""
-        super().__init__(f"{what} count {count} exceeds cap {cap}{where}")
+        super().__init__(f"{what} count {_count_text(count)} exceeds cap {cap}{where}")
+
+
+def decimal_digits(n) -> int:
+    """The number of decimal digits of a positive count, without printing it."""
+    return decimal.Decimal(n).adjusted() + 1
+
+
+def _count_text(count) -> str:
+    """``count`` in full when the interpreter prints it, else by its number
+    of digits.  A Decimal stands in for a count too large to form exactly
+    (:func:`cuntz.algebra.sweep_words`); past the largest Decimal it is
+    infinite."""
+    if isinstance(count, int):
+        try:
+            return str(count)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    if not decimal.Decimal(count).is_finite():
+        return f"of more than {decimal.MAX_EMAX} digits"
+    return f"of {decimal_digits(count)} digits"

@@ -379,6 +379,7 @@ def verify_spectrum_polynomial(source, L: int, p: Optional[int] = None) -> Repor
     """prod_{k=0..p} (N_n + (k - p/2) I) = 0 with N_n = [a_n*, a_n] / 2."""
     if p is None:
         p = source.p
+    config.check_sweep("spectrum.polynomial", L)
     generator, _, zero, unit = operands(source)
     report = Report()
     half = Fraction(1, 2)
@@ -400,6 +401,7 @@ def verify_parafermion_vacuum(source, L: int, p: Optional[int] = None) -> Report
     """In the standard representation: a_n e_1 = 0 and a_m a_n* e_1 = p delta e_1."""
     if p is None:
         p = source.p
+    config.check_sweep("pf-vacuum.annihilation", L)
     report = Report()
     vacuum = StateVector.unit(1)
 

@@ -275,6 +275,7 @@ def fock_build(family, modes: Iterable[int]) -> StateVector:
 
 def verify_vacuum(family, n_max: int) -> Report:
     """Check that e_1 is annihilated by generators 1..n_max."""
+    config.check_sweep("vacuum.annihilation", n_max)
     report = Report()
     vacuum = StateVector.unit(1)
     report.scan("vacuum.annihilation", {"N": n_max}, range(1, n_max + 1),

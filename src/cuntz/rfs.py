@@ -185,10 +185,11 @@ class TriadSystem:
     Component alpha's n-th generator is z_alpha^{n-1}(a_alpha); a subclass
     says how the generators of the system are made from the components
     (:meth:`_generator`).  Treat instances as immutable; the only internal
-    mutation is the memo of components, keyed by (alpha, n).
+    mutation is the memo of components, keyed by (alpha, n), with its top
+    level per component.
     """
 
-    __slots__ = ("d", "p", "seeds", "zetas", "phis", "label", "_memo")
+    __slots__ = ("d", "p", "seeds", "zetas", "phis", "label", "_memo", "_top")
 
     # Whether all triads share one map and endomorphism (a fermion system).
     shared_map = False
@@ -207,7 +208,10 @@ class TriadSystem:
         self.zetas = zetas
         self.phis = phis
         self.label = label
-        self._memo: dict[tuple[int, int], Element] = {}
+        self._memo: dict[tuple[int, int], Element] = {
+            (alpha, 1): seed for alpha, seed in enumerate(seeds, start=1)}
+        # The memo of component alpha holds levels 1..self._top[alpha - 1].
+        self._top = [1] * self.p
         if validate:
             report = self._validate()
             if report.failures():
@@ -220,12 +224,16 @@ class TriadSystem:
         _check_generator_index(n)
         cached = self._memo.get((alpha, n))
         if cached is None:
-            if n == 1:
-                cached = self.seeds[alpha - 1]
-            else:
-                cached = self.zetas[alpha - 1].apply(self.component(alpha, n - 1))
+            # Fill the memo upwards from its top level.  The level count is
+            # held to the term cap first: a map that keeps its term count
+            # would otherwise be applied n - 1 times, however large n is.
+            config.check_cap(n, "generator", what="levels")
+            cached = self._memo[(alpha, self._top[alpha - 1])]
+            for level in range(self._top[alpha - 1] + 1, n + 1):
+                cached = self.zetas[alpha - 1].apply(cached)
                 config.check_cap(len(cached), "generator")
-            self._memo[(alpha, n)] = cached
+                self._memo[(alpha, level)] = cached
+                self._top[alpha - 1] = level
         return cached
 
     def tensor_component(self, alpha: int, n: int) -> Tensor:

@@ -1,4 +1,5 @@
-"""JSON schemas for elements, vectors, systems and endomorphisms.
+"""JSON schemas for elements, vectors, systems and endomorphisms, and the
+one reader of input files (:func:`load_json`).
 
 Element:    {"d": int, "terms": [{"coeff": "p/q", "create": [..], "annihilate": [..]}]}
 Vector:     {"terms": [{"index": "decimal string", "coeff": "p/q"}]}
@@ -25,6 +26,23 @@ from .errors import CuntzError, SchemaError
 from .parafermion import GreenSystem, standard_rpfs_p
 from .representation import StateVector
 from .rfs import RecursiveMap, RfsSystem, standard_rfs_o2, standard_rfs_p
+
+
+def load_json(path: str):
+    """The parsed JSON file at ``path``.  A missing file is ``no such file``,
+    any other file that cannot be opened or read (a directory, no
+    permission) is ``cannot read``, and text that does not parse (bytes that
+    are not UTF-8, nesting deeper than the recursion limit, an integer too
+    long to convert) is ``invalid JSON``.  All three raise SchemaError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except FileNotFoundError as exc:
+        raise SchemaError(f"no such file: {path}") from exc
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def _expect(condition, message):
@@ -168,13 +186,7 @@ def rfs_from_dict(obj, validate: bool = True) -> RfsSystem:
     if "p" in obj:
         _expect(type(obj["p"]) is int and obj["p"] == len(seeds),
                 "'p' must match the number of seeds")
-    try:
-        return RfsSystem(seeds, zeta, phi, label=obj.get("label", "json-rfs"),
-                         validate=validate)
-    except CuntzError:
-        raise
-    except Exception as exc:  # malformed structure that slipped through
-        raise SchemaError(str(exc)) from exc
+    return RfsSystem(seeds, zeta, phi, label=obj.get("label", "json-rfs"), validate=validate)
 
 
 def green_to_dict(g: GreenSystem) -> dict:
@@ -241,12 +253,7 @@ def system_from_spec(spec: str, validate: bool = True):
         return standard_rpfs_p(_parse_order(spec), validate=validate)
     if not os.path.exists(spec):
         raise SchemaError(f"unknown system spec {spec!r} (not a built-in, not a file)")
-    with open(spec, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {spec}: {exc}") from exc
-    return system_from_dict(obj, validate=validate)
+    return system_from_dict(load_json(spec), validate=validate)
 
 
 def _parse_order(spec: str) -> int:
@@ -267,11 +274,7 @@ def endomorphism_from_spec(spec: str, d: int) -> Endomorphism:
         return phi1() if spec == "phi1" else phi2()
     if not os.path.exists(spec):
         raise SchemaError(f"unknown endomorphism spec {spec!r}")
-    with open(spec, "r", encoding="utf-8") as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {spec}: {exc}") from exc
+    obj = load_json(spec)
     _expect(isinstance(obj, dict) and isinstance(obj.get("images"), list),
             "endomorphism JSON needs an 'images' list")
     images = [element_from_dict(entry) for entry in obj["images"]]

@@ -11,7 +11,7 @@ import pytest
 import cuntz
 from cuntz import Element, Monomial, RecursiveMap, standard_rfs_p
 from cuntz.cli import main
-from cuntz.serialize import element_to_dict, rfs_to_dict, vector_to_dict
+from cuntz.serialize import element_from_dict, element_to_dict, rfs_to_dict, vector_to_dict
 from cuntz.representation import StateVector
 
 
@@ -316,6 +316,24 @@ MALFORMED = {
     "bool-p": (("embed", "--system", "{system}", "--n", "2"), {"system": {**_RFS, "p": True}}),
 }
 
+# Every kind of input file, as the file {bad} of a command.
+FILE_ARGS = {
+    "system": (("verify", "--system", "{bad}", "--suite", "seed"), {}),
+    "element": (("normal-form", "--element", "{bad}"), {}),
+    "endo": (("endo-apply", "--endo", "{bad}", "--element", "{x}"), {"x": _SEED}),
+    "vector": (("apply", "--element", "{x}", "--vector", "{bad}"), {"x": _SEED}),
+}
+# Text the JSON reader refuses: nesting deeper than the recursion limit, and
+# an integer with more digits than the interpreter converts.
+UNREADABLE_TEXT = {
+    "deep-nesting": "[" * 200_000 + "]" * 200_000,
+    "5000-digit-d": '{"d": ' + "9" * 5000 + "}",
+}
+MALFORMED.update({
+    f"{kind}-{name}": (argv, {**files, "bad": payload})
+    for kind, (argv, files) in FILE_ARGS.items() for name, payload in UNREADABLE_TEXT.items()
+})
+
 
 class TestMalformedInput:
     """Malformed flags and files exit 2 with one ``error:`` line, no traceback."""
@@ -333,6 +351,31 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestUnreadableFile:
+    """A file that is not UTF-8 text, or not a file at all, exits 2 like
+    malformed JSON, whichever kind of input it is given as."""
+
+    @pytest.mark.parametrize("payload", ["bytes", "directory"])
+    @pytest.mark.parametrize("kind", list(FILE_ARGS))
+    def test_exits_2(self, capsys, tmp_path, kind, payload):
+        argv, files = FILE_ARGS[kind]
+        bad = tmp_path / "bad.json"
+        if payload == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe{")
+        paths = {"bad": str(bad)}
+        for name, obj in files.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(obj))
+            paths[name] = str(path)
+        code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 2
+        assert out == ""
+        reason = "cannot read" if payload == "directory" else "invalid JSON in"
+        assert err.startswith(f"error: {reason} {bad}: ") and err.count("\n") == 1
 
 
 class TestRoundTrip:
@@ -631,6 +674,86 @@ class TestSweepBudget:
         assert done.stdout == ""
         assert done.stderr.strip() == (f"resource cap: identity entries count {d} "
                                        "exceeds cap 500000 in tensor")
+
+
+class TestHugeCounts:
+    """A count too long to print, or to take the length of, exits 3 with one
+    ``resource cap:`` line; a count that prints is shown in full."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--system", "std-o2", "--suite", "car", "--N", "9" * 2500),
+         "candidates count of 5000 digits exceeds cap 500000 in sweep car.anticommute"),
+        (("--system", "std-rpfs:3", "--suite", "trilinear", "--L", "9" * 2500),
+         "candidates count of 7500 digits exceeds cap 500000 in sweep trilinear.comm-comm"),
+        (("--system", "std-o2", "--suite", "recursive", "--depth", "30000"),
+         "candidates count of 9036 digits exceeds cap 500000 in sweep recursive.sampled"),
+        (("--system", "std-o2", "--suite", "recursive", "--depth", str(10**30)),
+         "candidates count of more than 999999999999999999 digits exceeds cap 500000 in "
+         "sweep recursive.sampled"),
+        (("--system", "std-rpfs:3", "--suite", "spectrum", "--L", "9" * 30),
+         f"candidates count {'9' * 30} exceeds cap 500000 in sweep spectrum.polynomial"),
+        (("--system", "std-rpfs:3", "--suite", "vacuum", "--L", "9" * 30),
+         f"candidates count {'9' * 30} exceeds cap 500000 in sweep pf-vacuum.annihilation"),
+        (("--system", "std-o2", "--suite", "vacuum", "--N", "9" * 30),
+         f"candidates count {'9' * 30} exceeds cap 500000 in sweep vacuum.annihilation"),
+    ], ids=["car-N", "trilinear-L", "depth-30000", "depth-1e30", "spectrum-L", "pf-vacuum-L",
+            "vacuum-N"])
+    def test_exits_3(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 3
+        assert out == ""
+        assert err == f"resource cap: {message}\n"
+
+    @pytest.mark.parametrize("system, message", [
+        ("std-o2", "candidates count of 301030005 digits exceeds cap 500000 in sweep "
+                   "recursive.sampled"),
+        ("std-rfs-p:3", "candidates count of 903089997 digits exceeds cap 500000 in sweep "
+                        "recursive.sampled"),
+    ])
+    def test_depth_1e9_counts_no_integer_of_that_size(self, system, message):
+        # The word count has some 10^8 digits: it is refused from its closed
+        # form without forming it, in a 1.5 GB address space.
+        done = run_module("verify", "--system", system, "--suite", "recursive",
+                          "--depth", str(10**9), limit_bytes=3 << 29)
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == f"resource cap: {message}\n"
+
+
+class TestDeepMemos:
+    """The generator and word-image memos fill in a loop, so a deep request
+    costs no recursion depth."""
+
+    def test_far_generator_exits_3(self, capsys):
+        # Generator 1100 lies far past the cap; the memo fills level by level
+        # until the cap refuses level 12.
+        code, out, err = run(capsys, "embed", "--system", "std-o2", "--n", "1100",
+                             "--max-terms", "2000")
+        assert code == 3
+        assert out == ""
+        assert err == "resource cap: terms count 2048 exceeds cap 2000 in generator\n"
+
+    def test_generator_past_the_cap_is_refused_before_any_level(self):
+        # 10^12 levels are refused at once, not built or searched level by level.
+        done = run_module("embed", "--system", "std-o2", "--n", str(10**12))
+        assert done.returncode == 3, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == ("resource cap: levels count 1000000000000 exceeds cap 500000 "
+                               "in generator\n")
+
+    @pytest.mark.parametrize("endo, letter", [("phi2", 1), ("phi1", 2)])
+    def test_1500_letter_word(self, capsys, tmp_path, endo, letter):
+        word = Element.word(2, (letter,) * 1500, ())
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(element_to_dict(word)))
+        code, out, err = run(capsys, "endo-apply", "--endo", endo, "--element", str(path),
+                             "--format", "json")
+        assert code == 0, err
+        image = getattr(cuntz, endo)().images[letter - 1]
+        expected = Element.word(2, (), ())
+        for _ in range(1500):
+            expected = expected * image
+        assert element_from_dict(json.loads(out)).equals(expected)
 
 
 class TestRangeFlags:

@@ -180,3 +180,17 @@ def test_rho_images_are_built_on_first_read(monkeypatch):
     assert len(calls) == 5
     endo.images
     assert len(calls) == 5
+
+
+@pytest.mark.parametrize("endo, letter", [(phi2, 1), (phi1, 2)])
+def test_long_word_image_is_the_product_of_images(endo, letter):
+    # A 1500-letter word is deeper than the recursion limit; its image is
+    # built from the longest cached prefix in a loop, caching every prefix.
+    e = endo()
+    image = e.images[letter - 1]
+    products = [identity(2)]
+    for _ in range(1500):
+        products.append(products[-1] * image)
+    assert e.image_of_word((letter,) * 1500).equals(products[1500])
+    assert e.image_of_word((letter,) * 700) is e.image_of_word((letter,) * 700)
+    assert e.image_of_word((letter,) * 700).equals(products[700])

@@ -6,6 +6,7 @@ import pytest
 
 from cuntz import config
 from cuntz import rfs as rfs_module
+from cuntz.reports import FAIL, INCONCLUSIVE, PASS, Report
 from cuntz import (
     Element,
     IndexRangeError,
@@ -509,3 +510,67 @@ class TestValidateSystem:
         assert report.ok
         assert {r.check for r in report} >= {"seed.square", "recursive.sampled",
                                              "normalization.sampled", "car.mixed"}
+
+
+class TestCertifiedScan:
+    """The ``<prefix>condition`` verdict of a certificate and its sweep."""
+
+    @staticmethod
+    def scan(certificate, predicate, always_conclude):
+        report = Report()
+        rfs_module.certified_scan(report, "demo.", {"seed": 1}, certificate, {"depth": 1},
+                                  range(3), predicate, lambda i: f"word {i}",
+                                  always_conclude=always_conclude)
+        return {r.check: r for r in report}
+
+    @pytest.mark.parametrize("always_conclude", [True, False])
+    def test_failed_certificate_and_clean_sweep_is_inconclusive(self, always_conclude):
+        lines = self.scan((False, "no certificate"), lambda i: True, always_conclude)
+        assert lines["demo.certificate"].status == FAIL
+        assert lines["demo.sampled"].status == PASS
+        assert lines["demo.condition"].status == INCONCLUSIVE
+        assert lines["demo.condition"].witness is None
+
+    @pytest.mark.parametrize("always_conclude", [True, False])
+    def test_failed_certificate_and_witness_fails(self, always_conclude):
+        lines = self.scan((False, "no certificate"), lambda i: i != 1, always_conclude)
+        assert lines["demo.sampled"].status == FAIL
+        assert lines["demo.sampled"].witness == "word 1"
+        if always_conclude:
+            assert lines["demo.condition"].status == FAIL
+        else:  # a concluded verdict is only reported when asked for
+            assert "demo.condition" not in lines
+
+
+class TestDeepComponent:
+    def test_component_fills_the_memo_in_a_loop(self):
+        # s1 X s1* keeps one term per level, so level 1500 is cheap, and
+        # deeper than the recursion limit.
+        zeta = RecursiveMap(2, ((1, 1, 1),))
+        seed = Element.word(2, (1,), (2,))
+        system = RfsSystem([seed], zeta, rho(2), validate=False)
+        assert system.component(1, 3) == zeta.power(2, seed)
+        assert system.component(1, 1500) == Element.word(2, (1,) * 1500, (1,) * 1499 + (2,))
+        assert system.component(1, 700) == zeta.power(699, seed)
+
+    def test_a_miss_applies_the_map_once_per_new_level(self, monkeypatch):
+        zeta = RecursiveMap(2, ((1, 1, 1),))
+        system = RfsSystem([Element.word(2, (1,), (2,))], zeta, rho(2), validate=False)
+        calls = []
+        apply = RecursiveMap.apply
+        monkeypatch.setattr(RecursiveMap, "apply",
+                            lambda self, x: calls.append(x) or apply(self, x))
+        system.component(1, 500)
+        system.component(1, 501)
+        assert len(calls) == 500
+
+    def test_levels_past_the_cap_are_refused(self):
+        # A map that keeps one term per level never meets the term cap, so
+        # the level count itself is held to it, before any level is built.
+        zeta = RecursiveMap(2, ((1, 1, 1),))
+        system = RfsSystem([Element.word(2, (1,), (2,))], zeta, rho(2), validate=False)
+        with config.scoped_max_terms(1000):
+            assert len(system.component(1, 1000)) == 1
+            with pytest.raises(ResourceLimitError,
+                               match="levels count 1001 exceeds cap 1000 in generator"):
+                system.component(1, 1001)
