@@ -8,8 +8,7 @@ found no witness; it is not a pass.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import config
 
@@ -18,8 +17,7 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check: str
     params: dict
     status: str
@@ -38,9 +36,21 @@ class CheckResult:
         return out
 
 
-@dataclass
 class Report:
-    results: list[CheckResult] = field(default_factory=list)
+    """The lines of one verification, in the order they were added."""
+
+    __slots__ = ("results",)
+
+    def __init__(self, results: Optional[list[CheckResult]] = None):
+        self.results = [] if results is None else results
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.results == other.results
+
+    def __repr__(self):
+        return f"Report(results={self.results!r})"
 
     def add(self, check: str, params: dict, ok: bool, witness: Optional[str] = None,
             status: Optional[str] = None) -> CheckResult:

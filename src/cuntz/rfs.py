@@ -41,8 +41,7 @@ is rendered from words.  A check on Fock vectors acts through
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import config
 from .algebra import (
@@ -71,27 +70,48 @@ from .reports import INCONCLUSIVE, Report, sweep_first_failure
 from .tensor import Matrix, Tensor, _is_identity, _matmul, _matrix, _transpose, sandwich_power
 
 
-@dataclass(frozen=True)
 class RecursiveMap:
     """X -> sum_t sign_t s_{u_t} X s_{v_t}* with signs in {+1, -1}.
 
     Single-letter sandwiches cover every recursive map used by the
     constructions in scope and keep the condition certificates decidable.
+    Immutable: equal maps (same d, same terms in the same order) hash equal.
     """
 
-    d: int
-    terms: tuple[tuple[int, int, int], ...]
+    __slots__ = ("d", "terms", "_matrix")
 
-    def __post_init__(self):
-        if self.d < 2:
-            raise IndexRangeError(f"alphabet size must be >= 2, got {self.d}")
-        for sign, u, v in self.terms:
+    def __init__(self, d: int, terms: tuple[tuple[int, int, int], ...]):
+        if d < 2:
+            raise IndexRangeError(f"alphabet size must be >= 2, got {d}")
+        for sign, u, v in terms:
             if sign not in (1, -1):
                 raise IndexRangeError(f"sandwich sign must be +-1, got {sign}")
-            if not (1 <= u <= self.d and 1 <= v <= self.d):
-                raise IndexRangeError(f"sandwich indices ({u},{v}) outside 1..{self.d}")
+            if not (1 <= u <= d and 1 <= v <= d):
+                raise IndexRangeError(f"sandwich indices ({u},{v}) outside 1..{d}")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_matrix", _matrix(
-            accumulate({}, (((u, v), sign) for sign, u, v in self.terms))))
+            accumulate({}, (((u, v), sign) for sign, u, v in terms))))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.d, self.terms) == (other.d, other.terms)
+
+    def __hash__(self):
+        return hash((self.d, self.terms))
+
+    def __repr__(self):
+        return f"RecursiveMap(d={self.d!r}, terms={self.terms!r})"
+
+    def __reduce__(self):  # copies and pickles rebuild through __init__
+        return RecursiveMap, (self.d, self.terms)
 
     def apply(self, x: Element) -> Element:
         """Sandwich by the net sign matrix: distinct letter pairs and distinct
@@ -228,10 +248,18 @@ class TriadSystem:
             # held to the term cap first: a map that keeps its term count
             # would otherwise be applied n - 1 times, however large n is.
             config.check_cap(n, "generator", what="levels")
-            cached = self._memo[(alpha, self._top[alpha - 1])]
-            for level in range(self._top[alpha - 1] + 1, n + 1):
-                cached = self.zetas[alpha - 1].apply(cached)
-                config.check_cap(len(cached), "generator")
+            zeta, top = self.zetas[alpha - 1], self._top[alpha - 1]
+            cached = self._memo[(alpha, top)]
+            # The map merges no terms, so each level has exactly width times
+            # the terms of the one below: count up to the first level past
+            # the cap, or to n, before any level is built.
+            width, cap = len(zeta.sandwich_matrix()), config.max_terms_cap()
+            count, level = len(cached) * width, top + 1
+            while width > 1 and level < n and count <= cap:
+                count, level = count * width, level + 1
+            config.check_cap(count, "generator")
+            for level in range(top + 1, n + 1):
+                cached = zeta.apply(cached)
                 self._memo[(alpha, level)] = cached
                 self._top[alpha - 1] = level
         return cached
@@ -628,8 +656,7 @@ def compose_with_endomorphism(sys, e: Endomorphism) -> GeneratorFamily:
 # -- exact span rank ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpanResult:
+class SpanResult(NamedTuple):
     rank: int
     expected: int
     complete: bool

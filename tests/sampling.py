@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import Element, Monomial, Scalar, exact_scalar
+from cuntz.algebra import Element, Monomial, Scalar, exact_scalar
 
 
 def random_monomial(rng: random.Random, d: int, max_length: int = 3) -> Monomial:

@@ -35,7 +35,7 @@ from cuntz import (
 )
 from cuntz.representation import StateVector
 from cuntz.rfs import RfsSystem, RecursiveMap
-from cuntz.sampling import random_element
+from sampling import random_element
 
 e = StateVector.unit
 

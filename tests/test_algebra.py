@@ -117,14 +117,14 @@ class TestAdjoint:
         assert word(2, [1], [2]).adjoint() == word(2, [2], [1])
 
     def test_involution(self, rng):
-        from cuntz.sampling import random_element
+        from sampling import random_element
 
         for _ in range(30):
             x = random_element(rng, 2)
             assert x.adjoint().adjoint() == x
 
     def test_antihomomorphism(self, rng):
-        from cuntz.sampling import random_element
+        from sampling import random_element
 
         for _ in range(30):
             x, y = random_element(rng, 2), random_element(rng, 2)
@@ -169,7 +169,7 @@ class TestRaiseAndNormalForm:
         assert x.normal_form() == x
 
     def test_idempotent(self, rng):
-        from cuntz.sampling import random_element
+        from sampling import random_element
 
         for _ in range(30):
             x = random_element(rng, 2)
@@ -230,7 +230,7 @@ class TestGrading:
         assert image == expected
 
     def test_grade_multiplicativity(self, rng):
-        from cuntz.sampling import random_element
+        from sampling import random_element
 
         for _ in range(20):
             x, y = random_element(rng, 2), random_element(rng, 2)
@@ -333,7 +333,7 @@ class TestExactCoefficients:
             parse_element("1/0 s1", 2)
 
     def test_random_coefficients_are_stored_exactly(self, rng):
-        from cuntz.sampling import random_coefficient
+        from sampling import random_coefficient
 
         values = [random_coefficient(rng) for _ in range(200)]
         assert all(value and (type(value) is int or

@@ -44,6 +44,41 @@ class TestModuleEntry:
         assert (done.returncode, done.stdout) == run(capsys, *argv)[:2]
 
 
+class TestStartup:
+    """A CLI call imports no module it does not use.  The modules named are
+    the ``dataclasses`` chain, about half the import time of ``cuntz.cli``.
+    The guard reads ``sys.modules``, not timings."""
+
+    HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+    # Puts the checkout first on the path, imports ``cuntz.cli`` or runs
+    # ``python -m cuntz <argv>``, then prints the modules it loaded.
+    PROBE = """
+import runpy, sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv.pop(1))
+if len(sys.argv) == 1:
+    import cuntz.cli
+else:
+    try:
+        runpy.run_module("cuntz", run_name="__main__", alter_sys=True)
+    except SystemExit as done:
+        assert done.code == 0, done.code
+print(*sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+    @pytest.mark.parametrize("argv", [(), ("verify", "--system", "std-o2", "--suite", "seed")],
+                             ids=["import", "verify"])
+    def test_cli_loads_no_dataclasses_chain(self, argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cuntz.__file__)))
+        done = subprocess.run([sys.executable, "-I", "-c", self.PROBE, src, *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        loaded = set(done.stderr.splitlines()[-1].split())
+        assert "cuntz.cli" in loaded
+        assert loaded & self.HEAVY == set()
+
+
 class TestEmbed:
     def test_first_generator(self, capsys):
         code, out, _ = run(capsys, "embed", "--system", "std-o2", "--n", "1")
@@ -460,6 +495,31 @@ class TestLargeModes:
         assert out == ""
         assert err.strip() == (
             "resource cap: terms count 524288 exceeds cap 500000 in generator")
+
+    def test_embed_is_refused_before_any_level_is_built(self, capsys, monkeypatch):
+        # Each level of std-o2 doubles the terms of the one below, so level
+        # 20 (2^19 = 524,288 terms) is the first past the cap, counted
+        # without applying the map.
+        calls = []
+        apply = RecursiveMap.apply
+        monkeypatch.setattr(RecursiveMap, "apply",
+                            lambda self, x: calls.append(x) or apply(self, x))
+        code, out, err = run(capsys, "embed", "--system", "std-o2", "--n", "30")
+        assert (code, out, calls) == (3, "", [])
+        assert err.strip() == (
+            "resource cap: terms count 524288 exceeds cap 500000 in generator")
+
+    @pytest.mark.parametrize("cap, code", [(512, 0), (511, 3)])
+    def test_embed_builds_a_level_of_exactly_the_cap(self, capsys, cap, code):
+        # Level 10 of std-o2 has 2^9 = 512 terms.
+        code_seen, out, err = run(capsys, "embed", "--system", "std-o2", "--n", "10",
+                                  "--max-terms", str(cap), "--format", "json")
+        assert code_seen == code
+        if code == 0:
+            assert len(json.loads(out)["terms"]) == 512
+        else:
+            assert err.strip() == (
+                "resource cap: terms count 512 exceeds cap 511 in generator")
 
     def test_vacuum_N_300(self, capsys):
         code, out, _ = run(capsys, "verify", "--system", "std-o2", "--suite", "vacuum",

@@ -21,7 +21,7 @@ from cuntz import (
 )
 from cuntz import endomorphisms
 from cuntz.endomorphisms import is_rho
-from cuntz.sampling import random_element
+from sampling import random_element
 
 
 def test_rho_images_are_valid():

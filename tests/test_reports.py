@@ -105,3 +105,35 @@ def test_scan_refuses_a_sized_list_past_the_cap():
     assert seen == []
     assert (err.value.what, err.value.operation, err.value.count) == (
         "candidates", "sweep demo", 3)
+
+
+class TestRecords:
+    """A CheckResult is an immutable value; a Report compares by its lines
+    and owns its own list."""
+
+    FIELDS = {"check": "x", "params": {"k": 1}, "status": "pass", "witness": None}
+
+    @pytest.mark.parametrize("field, value", [
+        ("check", "y"), ("params", {"k": 2}), ("status", "fail"), ("witness", "w")])
+    def test_check_result_compares_every_field(self, field, value):
+        same, twin = CheckResult(**self.FIELDS), CheckResult("x", {"k": 1}, "pass")
+        other = CheckResult(**{**self.FIELDS, field: value})
+        assert same == twin and not same != twin
+        assert other != same and not other == same
+
+    def test_check_result_is_immutable(self):
+        result = CheckResult(**self.FIELDS)
+        for field in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(result, field, "changed")
+        assert result == CheckResult(**self.FIELDS)
+
+    def test_reports_compare_by_their_lines(self):
+        line = CheckResult(**self.FIELDS)
+        assert Report() == Report() and Report([line]) == Report(results=[line])
+        assert Report([line]) != Report() and not Report([line]) == Report()
+
+    def test_new_reports_never_share_a_list(self):
+        first, second = Report(), Report()
+        first.add("a", {}, True)
+        assert second.results == [] and first.results is not second.results

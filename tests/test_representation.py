@@ -32,7 +32,7 @@ from cuntz import (
     verify_vacuum,
 )
 from cuntz import config
-from cuntz.sampling import random_element
+from sampling import random_element
 
 e = StateVector.unit
 

@@ -1,5 +1,7 @@
 """Recursive systems: constructors, embeddings, condition suites, span rank."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -574,3 +576,75 @@ class TestDeepComponent:
             with pytest.raises(ResourceLimitError,
                                match="levels count 1001 exceeds cap 1000 in generator"):
                 system.component(1, 1001)
+
+    @pytest.mark.parametrize("cap", [524_287, 524_288])
+    def test_terms_are_counted_before_any_level_is_built(self, monkeypatch, cap):
+        # Level 20 of std-o2 has 2^19 = 524,288 terms: a cap one short of
+        # that refuses it without applying the map, and a cap of exactly
+        # that lets all 19 levels be built.  The map is stubbed out so that
+        # the test does not build half a million terms.
+        calls = []
+        monkeypatch.setattr(RecursiveMap, "apply", lambda self, x: calls.append(x) or x)
+        system = standard_rfs_o2(validate=False)
+        with config.scoped_max_terms(cap):
+            if cap < 2 ** 19:
+                with pytest.raises(ResourceLimitError,
+                                   match="terms count 524288 exceeds cap 524287 in generator"):
+                    system.component(1, 20)
+                assert calls == []
+            else:
+                system.component(1, 20)
+                assert len(calls) == 19
+
+
+class TestRecords:
+    """RecursiveMap and SpanResult are immutable values."""
+
+    TERMS = ((1, 1, 1), (-1, 2, 2))
+
+    def test_maps_compare_and_hash_by_value(self):
+        zeta = RecursiveMap(2, self.TERMS)
+        twin = RecursiveMap(2, tuple(self.TERMS))
+        assert zeta == twin and not zeta != twin and hash(zeta) == hash(twin)
+        assert {zeta: 1}[twin] == 1
+        for other in (RecursiveMap(3, self.TERMS), RecursiveMap(2, self.TERMS[:1])):
+            assert other != zeta and not other == zeta
+
+    def test_map_is_immutable(self):
+        zeta = RecursiveMap(2, self.TERMS)
+        for field in ("d", "terms", "_matrix"):
+            with pytest.raises(AttributeError):
+                setattr(zeta, field, 3)
+        with pytest.raises(AttributeError):
+            del zeta.d
+        assert zeta == RecursiveMap(2, self.TERMS)
+
+    @pytest.mark.parametrize("d, terms, message", [
+        (2, ((2, 1, 1),), "sandwich sign must be +-1, got 2"),
+        (2, ((1, 0, 1),), "sandwich indices (0,1) outside 1..2"),
+        (1, ((1, 1, 1),), "alphabet size must be >= 2, got 1"),
+    ])
+    def test_map_validation_errors(self, d, terms, message):
+        with pytest.raises(IndexRangeError) as err:
+            RecursiveMap(d, terms)
+        assert str(err.value) == message
+
+    def test_map_copies_and_pickles_to_an_equal_map(self):
+        zeta = RecursiveMap(2, self.TERMS)
+        for twin in (copy.copy(zeta), copy.deepcopy(zeta), pickle.loads(pickle.dumps(zeta))):
+            assert twin == zeta and twin.sandwich_matrix() == zeta.sandwich_matrix()
+
+    @pytest.mark.parametrize("index, value", [(0, 5), (1, 5), (2, False), (3, 7)])
+    def test_span_result_compares_every_field(self, index, value):
+        fields = [4, 4, True, 4]
+        same = SpanResult(*fields)
+        fields[index] = value
+        other = SpanResult(*fields)
+        assert same == SpanResult(4, 4, True, 4) and hash(same) == hash(SpanResult(4, 4, True, 4))
+        assert other != same and not other == same
+
+    def test_span_result_is_immutable(self):
+        result = SpanResult(4, 4, True, 4)
+        for field in ("rank", "expected", "complete", "products_considered"):
+            with pytest.raises(AttributeError):
+                setattr(result, field, 0)

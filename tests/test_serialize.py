@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from cuntz import Element, Monomial, SchemaError, StateVector, rho
-from cuntz.sampling import random_element
+from sampling import random_element
 from cuntz.serialize import (
     element_from_dict,
     element_to_dict,
