@@ -321,8 +321,7 @@ class Element:
         is probed once per word length occurring on the other side with the
         prefix of that length (a hash join on the common prefix of length
         min(|xa|, |yc|)).  The cost is linear in the operands times the
-        number of distinct word lengths, plus the pairs that survive.  When
-        one operand is a single word the other is scanned directly.
+        number of distinct word lengths, plus the pairs that survive.
 
         Each operand is indexed once per element and role: the grouping is
         built the first time the element is a left (or right) operand of a
@@ -337,24 +336,7 @@ class Element:
         xt, yt = self._terms, other._terms
         out: dict[Monomial, Scalar] = {}
         get = out.get
-        if len(xt) == 1 or len(yt) == 1:
-            # One operand is a single word: scanning the other side is
-            # already linear, and cheaper than building an index.
-            for (xc, xa), ca in xt.items():
-                la = len(xa)
-                for (yc, ya), cb in yt.items():
-                    lc = len(yc)
-                    if la <= lc:
-                        if xa != yc[:la]:
-                            continue
-                        key = _word(xc + yc[la:], ya)
-                    else:
-                        if yc != xa[:lc]:
-                            continue
-                        key = _word(xc, ya + xa[lc:])
-                    acc = get(key)
-                    out[key] = ca * cb if acc is None else acc + ca * cb
-        elif xt and yt:
+        if xt and yt:
             try:
                 left, left_lengths = self._left
             except AttributeError:
@@ -456,8 +438,8 @@ class Element:
         if not isinstance(other, Element):
             raise TypeError(f"cannot compare Element with {type(other).__name__}")
         self._require_same_d(other)
-        # Equal term maps: no coefficient is stored as 0, so the difference
-        # below would be empty.
+        # No coefficient is stored as 0, so the difference below is empty
+        # exactly when the term maps are equal.
         if self._terms == other._terms:
             return True
         # Inline, not accumulate: equals runs once per sweep candidate, and a
@@ -470,8 +452,6 @@ class Element:
                 diff[m] = c
             elif m in diff:
                 del diff[m]
-        if not diff:
-            return True
         return Element._make(self.d, diff).normal_form().is_zero
 
     def __eq__(self, other) -> bool:

@@ -21,8 +21,9 @@ class Endomorphism:
     """Generator-image description of a unital *-endomorphism.
 
     ``apply`` extends the images multiplicatively and *-compatibly to any
-    element; word images are cached per instance since recursive systems
-    apply the same endomorphism over and over.  The instance built by
+    element.  Images are cached per word, on the instance, since recursive
+    systems apply the same endomorphism to the same short words over and
+    over; a word's prefixes are not cached.  The instance built by
     :func:`rho` is applied by re-indexing words and holds no images until
     ``images`` is read.
     """
@@ -72,14 +73,12 @@ class Endomorphism:
     def image_of_word(self, word: tuple[int, ...]) -> Element:
         cached = self._word_cache.get(word)
         if cached is None:
-            # Extend the longest cached prefix (the empty word is always one).
-            k = len(word) - 1
-            while word[:k] not in self._word_cache:
-                k -= 1
-            cached = self._word_cache[word[:k]]
-            for k in range(k, len(word)):
-                cached = cached * self.images[word[k] - 1]
-                self._word_cache[word[:k + 1]] = cached
+            # The product of the letters' images, left to right.
+            images = self.images
+            cached = images[word[0] - 1]
+            for letter in word[1:]:
+                cached = cached * images[letter - 1]
+            self._word_cache[word] = cached
         return cached
 
     def apply(self, x: Element) -> Element:

@@ -402,6 +402,7 @@ def verify_parafermion_vacuum(source, L: int, p: Optional[int] = None) -> Report
     if p is None:
         p = source.p
     config.check_sweep("pf-vacuum.annihilation", L)
+    config.check_sweep("pf-vacuum.eigenvalue", L * L)
     report = Report()
     vacuum = StateVector.unit(1)
 
@@ -472,6 +473,11 @@ def verify_klein_identities(L: int = 3, depth: int = config.DEFAULT_SWEEP_DEPTH)
                f"a^(2) != (I - 2 a_1* a_1) a_2: {expected.normal_form()}")
 
     monomials, elements = sweep_words(d, depth, "klein.map1", lambda n: L * n)
+    # The largest operands, built into the memos the green lines read: one
+    # past the term cap is refused before any map power is formed.
+    for component in (1, 2):
+        para.component(component, L)
+        fermi.generator(2 * L - 2 + component)
 
     @functools.cache
     def twist(component: int, n: int) -> Element:

@@ -1,5 +1,6 @@
 """Generator-image endomorphisms: validation, application, built-ins."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -185,7 +186,7 @@ def test_rho_images_are_built_on_first_read(monkeypatch):
 @pytest.mark.parametrize("endo, letter", [(phi2, 1), (phi1, 2)])
 def test_long_word_image_is_the_product_of_images(endo, letter):
     # A 1500-letter word is deeper than the recursion limit; its image is
-    # built from the longest cached prefix in a loop, caching every prefix.
+    # the product of the letters' images, formed in a loop and cached.
     e = endo()
     image = e.images[letter - 1]
     products = [identity(2)]
@@ -194,3 +195,17 @@ def test_long_word_image_is_the_product_of_images(endo, letter):
     assert e.image_of_word((letter,) * 1500).equals(products[1500])
     assert e.image_of_word((letter,) * 700) is e.image_of_word((letter,) * 700)
     assert e.image_of_word((letter,) * 700).equals(products[700])
+
+
+def test_long_word_image_caches_no_prefixes():
+    # Only the word asked for is cached: holding the image of every prefix
+    # of a 4000-letter word took about 100 MB.
+    e = phi2()
+    tracemalloc.start()
+    try:
+        e.image_of_word((1,) * 4000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert set(e._word_cache) == {(), (1,) * 4000}

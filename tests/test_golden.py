@@ -1,4 +1,4 @@
-"""Golden output: ``cuntz verify`` and ``cuntz fock`` JSON must stay byte-identical.
+"""Golden output: ``cuntz verify`` and ``cuntz fock`` must stay byte-identical.
 
 Each file in ``tests/golden`` is the exact standard output of one run.  The
 verify files were recorded before the canonical endomorphism was applied in
@@ -8,7 +8,9 @@ files before every sweep went through ``Report.scan``; the CAR, Green and
 trilinear files before those checks ran on tensors of matrices; the
 std-rfs-p:3 and std-rpfs:3 suites before both system kinds shared one triad
 core; the std-rpfs:3 parafermion at L=5, the swapped Green and the Klein
-L=4 files before the spectrum and vacuum checks stopped expanding words.
+L=4 files before the spectrum and vacuum checks stopped expanding words;
+the negative control in text format, with its witnesses and failure summary,
+before the word product lost its single-word scan.
 Refactors must reproduce them byte for byte, exit code included.  A
 deliberate change of output rewrites the file with the command's output.
 """
@@ -74,10 +76,11 @@ SWAPPED_GREEN = {
     ],
 }
 
-# golden file stem -> (arguments, exit code).  Arguments that start with an
-# option are verify arguments run with ``--format json``; otherwise the first
-# argument names the command and the list is run as given.  A ``None`` system
-# is NEGATIVE_CONTROL and a dict system is that JSON, each written to a file.
+# golden file stem -> (arguments, exit code); a name with a suffix is the
+# whole file name.  Arguments that start with an option are verify arguments
+# run with ``--format json``; otherwise the first argument names the command
+# and the list is run as given.  A ``None`` system is NEGATIVE_CONTROL and a
+# dict system is that JSON, each written to a file.
 CASES = {
     "std-o2-all": (["--system", "std-o2", "--suite", "all"], 0),
     "std-rfs-p2-all": (["--system", "std-rfs-p:2", "--suite", "all"], 0),
@@ -111,6 +114,7 @@ CASES = {
     "swapped-green-parafermion-L3": (["--system", SWAPPED_GREEN, "--suite", "parafermion",
                                       "--L", "3"], 1),
     "klein-L4": (["--suite", "klein", "--L", "4"], 0),
+    "negative-control-text.txt": (["verify", "--system", None, "--suite", "all"], 1),
 }
 
 
@@ -124,7 +128,7 @@ def test_verify_json_is_byte_identical(name, capsys, tmp_path):
     code = main(argv)
     out = capsys.readouterr().out
     assert code == want_code
-    assert out == (GOLDEN / f"{name}.jsonl").read_text()
+    assert out == (GOLDEN / (name if "." in name else f"{name}.jsonl")).read_text()
 
 
 def _system_file(spec, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cuntz import config
+from cuntz import config, parafermion
 from cuntz import (
     Element,
     GeneratorFamily,
@@ -220,6 +220,19 @@ class TestParafermionVacuum:
         assert [r.check for r in report.failures()] == ["pf-vacuum.eigenvalue"]
         assert report.first_failure().witness == "a_1 a_1* e_1 = 2 e_1"
 
+    def test_eigenvalue_pairs_counted_before_any_vector(self, monkeypatch, rpfs2):
+        # 11 annihilation candidates fit a cap of 100, the 121 pairs do not.
+        calls = []
+        rep_generator = parafermion.rep_generator
+        monkeypatch.setattr(parafermion, "rep_generator",
+                            lambda *args, **kwargs: calls.append(args)
+                            or rep_generator(*args, **kwargs))
+        with config.scoped_max_terms(100), pytest.raises(ResourceLimitError) as err:
+            verify_parafermion_vacuum(rpfs2, 11)
+        assert str(err.value) == ("candidates count 121 exceeds cap 100 "
+                                  "in sweep pf-vacuum.eigenvalue")
+        assert calls == []
+
 
 class TestAgainstWordReference:
     """Spectrum on tensors and pf-vacuum in sandwich form give the reports of
@@ -323,6 +336,18 @@ class TestKleinIdentities:
             "klein.green1": "component 1 generator 2 mismatch",
             "klein.green2": "component 2 generator 1 mismatch",
         }
+
+    def test_largest_generator_refused_before_any_map_power(self, monkeypatch):
+        # At L = 6 the generators past the 2,000-term cap are the last ones;
+        # they are built, and refused, before klein.map forms z^(n-1)(X).
+        calls = []
+        power = RecursiveMap.power
+        monkeypatch.setattr(RecursiveMap, "power",
+                            lambda self, n, x: calls.append(n) or power(self, n, x))
+        with config.scoped_max_terms(2000), pytest.raises(ResourceLimitError) as err:
+            verify_klein_identities(6)
+        assert "exceeds cap 2000 in generator" in str(err.value)
+        assert calls == []
 
     def test_seed_relations_explicitly(self, rfs2, rpfs2):
         assert rpfs2.seeds[0].normal_form() == rfs2.seeds[0].normal_form()

@@ -247,17 +247,23 @@ def test_copies_and_pickles_round_trip_without_the_index(duplicate):
 
 
 def test_normalization_sweep_indexes_each_image_once_per_role(monkeypatch, rfs3):
-    # 209 sweep words at depth 2 and d = 8; each image z(X) is a multi-term
-    # operand of 418 products, but is grouped at most once as left and once
-    # as right operand.  The word products x*y have a one-word operand and
-    # build no index.
-    calls = []
+    # 209 sweep words at depth 2 and d = 8.  Every product goes through the
+    # prefix join, one-word operands included: each word X is an operand of
+    # the word products x*y and each image z(X) of the image products, 418
+    # products apiece.  Each of the 418 elements is grouped once as left and
+    # once as right operand, so 4 * 209 groupings in all.
+    calls, grouped = [], []
     join_index = algebra._join_index
-    monkeypatch.setattr(algebra, "_join_index",
-                        lambda terms, side: calls.append(side) or join_index(terms, side))
+
+    def counting(terms, side):
+        grouped.append(terms)  # kept alive, so no id is reused
+        calls.append((id(terms), side))
+        return join_index(terms, side)
+
+    monkeypatch.setattr(algebra, "_join_index", counting)
     report = verify_normalization(rfs3, depth=2)
     assert report.ok
-    assert 0 < len(calls) <= 2 * 209
+    assert len(set(calls)) == len(calls) == 4 * 209
 
 
 def test_equals_on_equal_terms_skips_normal_form(monkeypatch):
