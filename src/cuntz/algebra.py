@@ -499,16 +499,14 @@ def unit_words(d: int, monomials) -> list[Element]:
 _WIDE = decimal.Context(Emax=decimal.MAX_EMAX, traps=[decimal.InvalidOperation])
 
 
-def sweep_words(d: int, depth: int, check: str,
-                candidates=lambda n: n) -> tuple[list[Monomial], list[Element]]:
-    """The words of total letter count <= depth (:func:`iter_monomials`), with
-    each as an element, for the sweep ``check``.  Its ``candidates(n)`` over
-    the n = sum_{t <= depth} (t + 1) d^t words are held to the sweep budget
-    (:func:`cuntz.config.check_sweep`) before any word is built.  n is taken
-    in closed form: exactly while d^(depth+1) has few enough digits to print
-    (``sys.get_int_max_str_digits()``, or its default when that is off),
-    past that as a 28-digit Decimal, so a refused count is never formed in
-    full."""
+def sweep_budget(d: int, depth: int, check: str, candidates=lambda n: n):
+    """Hold the sweep ``check`` to the sweep budget
+    (:func:`cuntz.config.check_sweep`): its ``candidates(n)`` over the
+    n = sum_{t <= depth} (t + 1) d^t words of total letter count <= depth.
+    n is taken in closed form: exactly while d^(depth+1) has few enough
+    digits to print (``sys.get_int_max_str_digits()``, or its default when
+    that is off), past that as a 28-digit Decimal, so a refused count is
+    never formed in full."""
     printable = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     with decimal.localcontext(_WIDE):
         if (depth + 1) * math.log10(d) < printable:
@@ -516,6 +514,14 @@ def sweep_words(d: int, depth: int, check: str,
         else:
             n = decimal.Decimal(d) ** (depth + 1) * ((depth + 1) * (d - 1) - 1) / (d - 1) ** 2
         config.check_sweep(check, candidates(n))
+
+
+def sweep_words(d: int, depth: int, check: str,
+                candidates=lambda n: n) -> tuple[list[Monomial], list[Element]]:
+    """The words of total letter count <= depth (:func:`iter_monomials`), with
+    each as an element, for the sweep ``check``, whose count meets
+    :func:`sweep_budget` before any word is built."""
+    sweep_budget(d, depth, check, candidates)
     monomials = list(iter_monomials(d, depth))
     return monomials, unit_words(d, monomials)
 

@@ -3,16 +3,20 @@
 Commands: embed, verify, fock, apply, normal-form, endo-apply.
 Exit codes: 0 all checks passed / output produced; 1 mathematical failure
 (with a symbolic witness); 2 usage or schema error; 3 resource cap hit.
+
+The argument parser is built on the first :func:`main` call and reused by
+every later call in the process; importing this module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import config
-from .algebra import Element
+from .algebra import Element, sweep_budget
 from .errors import (
     AlphabetMismatchError,
     ConfigError,
@@ -26,6 +30,8 @@ from .errors import (
 )
 from .parafermion import (
     GreenSystem,
+    green_relations_budget,
+    trilinear_budget,
     verify_cross_commutation,
     verify_green_normalization,
     verify_green_recursive,
@@ -82,7 +88,10 @@ def _non_negative_int(raw: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process.  Its tree is
+    constant, and parsing leaves it unchanged, so calls share it."""
     parser = argparse.ArgumentParser(
         prog="cuntz",
         description="Exact symbolic computation with recursive fermion and "
@@ -223,6 +232,15 @@ def _cmd_verify(args) -> int:
 
 
 def _green_all(system, depth, L) -> Report:
+    """The Green suite ``all``.  As in :func:`cuntz.rfs.verify_all`, its sweeps
+    meet the sweep budget in suite order before the first check runs.  The
+    spectrum and vacuum checks scan L and L^2 candidates, which the L^3 of
+    the trilinear check bounds."""
+    sweep_budget(system.d, depth, "green-recursive.sampled")
+    sweep_budget(system.d, depth, "green-normalization.sampled", lambda n: n * n)
+    sweep_budget(system.d, 1, "cross-commutation.sampled", lambda n: n * n)
+    green_relations_budget(system.p, L)
+    trilinear_budget(L)
     report = verify_green_seed(system)
     report.extend(verify_green_recursive(system, depth=depth))
     report.extend(verify_green_normalization(system, depth=depth))
@@ -303,6 +321,9 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  It can be called any number
+    of times in one process: each call builds its systems afresh, and only
+    the argument parser, built on the first call, is shared."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

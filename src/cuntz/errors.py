@@ -63,7 +63,7 @@ def decimal_digits(n) -> int:
 def _count_text(count) -> str:
     """``count`` in full when the interpreter prints it, else by its number
     of digits.  A Decimal stands in for a count too large to form exactly
-    (:func:`cuntz.algebra.sweep_words`); past the largest Decimal it is
+    (:func:`cuntz.algebra.sweep_budget`); past the largest Decimal it is
     infinite."""
     if isinstance(count, int):
         try:

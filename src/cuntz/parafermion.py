@@ -253,14 +253,19 @@ def validate_green_system(g: GreenSystem) -> Report:
     return report
 
 
+def green_relations_budget(p: int, L: int):
+    """The sweep budget of :func:`verify_green_relations`, in scan order."""
+    config.check_sweep("green.anticommute", p * L * (L + 1) // 2)
+    config.check_sweep("green.cross-commute", p * (p - 1) * L * L)
+
+
 def verify_green_relations(g: GreenSystem, L: int) -> Report:
     """Component families: fermionic within, commuting across, up to index L.
 
     The predicates run on tensors when the seeds are charge-zero.  Candidate
     counts meet the sweep budget, in scan order, before any operand is built.
     """
-    config.check_sweep("green.anticommute", g.p * L * (L + 1) // 2)
-    config.check_sweep("green.cross-commute", g.p * (g.p - 1) * L * L)
+    green_relations_budget(g.p, L)
     report = Report()
     _, component, zero, unit = operands(g)
     comp = {(a, n): component(a, n)
@@ -306,6 +311,12 @@ def verify_green_relations(g: GreenSystem, L: int) -> Report:
 # -- parafermion relations -----------------------------------------------------
 
 
+def trilinear_budget(L: int):
+    """The sweep budget of :func:`verify_trilinear`, in scan order."""
+    config.check_sweep("trilinear.comm-comm", L * L * (L - 1) // 2)
+    config.check_sweep("trilinear.number-action", L ** 3)
+
+
 def verify_trilinear(source, L: int) -> Report:
     """Double-commutator relations for generators 1..L.
 
@@ -323,8 +334,7 @@ def verify_trilinear(source, L: int) -> Report:
     tensors, any other source on its word generators.  Candidate counts
     meet the sweep budget, in scan order, before any operand is built.
     """
-    config.check_sweep("trilinear.comm-comm", L * L * (L - 1) // 2)
-    config.check_sweep("trilinear.number-action", L ** 3)
+    trilinear_budget(L)
     generator, _, zero, _ = operands(source)
     gens = [generator(n) for n in range(1, L + 1)]
     adjs = [x.adjoint() for x in gens]

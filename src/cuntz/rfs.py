@@ -55,6 +55,7 @@ from .algebra import (
     identity,
     is_u1_invariant,
     isometry,
+    sweep_budget,
     sweep_words,
     term_sort_key,
 )
@@ -553,6 +554,11 @@ def operands(source):
             Element.zero(source.d), identity(source.d))
 
 
+def car_budget(n_max: int):
+    """The sweep budget of :func:`verify_car`: N(N+1)/2 pairs per line."""
+    config.check_sweep("car.anticommute", n_max * (n_max + 1) // 2)
+
+
 def verify_car(family, n_max: int) -> Report:
     """Anticommutation relations for generators 1..n_max of a family.
 
@@ -560,7 +566,7 @@ def verify_car(family, n_max: int) -> Report:
     witness is always rendered from the family's word generators.  The
     N(N+1)/2 pairs meet the sweep budget before any operand is built.
     """
-    config.check_sweep("car.anticommute", n_max * (n_max + 1) // 2)
+    car_budget(n_max)
     report = Report()
     generator, _, zero, unit = operands(family)
     gens = [generator(n) for n in range(1, n_max + 1)]
@@ -637,10 +643,20 @@ def validate_system(sys) -> Report:
 
 def verify_all(sys, depth: int = config.DEFAULT_SWEEP_DEPTH,
                car_range: Optional[int] = None) -> Report:
+    """The seed, recursive, normalization and CAR checks, in that order.
+
+    The sweeps of the suite that are counted in closed form (recursive,
+    normalization, CAR) meet the sweep budget in suite order before the
+    first check runs.  A suite that one of them would stop exits at once,
+    with the message that sweep's own check gives.
+    """
+    n_max = car_range if car_range is not None else config.default_car_range(sys.p)
+    sweep_budget(sys.d, depth, "recursive.sampled")
+    sweep_budget(sys.d, depth, "normalization.sampled", lambda n: n * n)
+    car_budget(n_max)
     report = verify_seed_condition(sys)
     report.extend(verify_recursive_condition(sys, depth=depth))
     report.extend(verify_normalization(sys, depth=depth))
-    n_max = car_range if car_range is not None else config.default_car_range(sys.p)
     report.extend(verify_car(sys, n_max))
     return report
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import resource
@@ -9,8 +10,9 @@ import sys
 import pytest
 
 import cuntz
-from cuntz import Element, Monomial, RecursiveMap, standard_rfs_p
+from cuntz import Element, Monomial, RecursiveMap, cli, config, standard_rfs_p
 from cuntz.cli import main
+from cuntz.errors import ResourceLimitError
 from cuntz.serialize import element_from_dict, element_to_dict, rfs_to_dict, vector_to_dict
 from cuntz.representation import StateVector
 
@@ -77,6 +79,78 @@ print(*sorted(set(sys.modules) - before), file=sys.stderr)
         loaded = set(done.stderr.splitlines()[-1].split())
         assert "cuntz.cli" in loaded
         assert loaded & self.HEAVY == set()
+
+    def test_import_builds_no_parser(self):
+        # The parser is built by the first main() call, so a fresh
+        # interpreter that only imports cuntz.cli pays nothing for it.
+        probe = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+sys.path.insert(0, sys.argv[1])
+import cuntz.cli
+print(len(built))
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cuntz.__file__)))
+        done = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "0\n"
+
+
+class TestRepeatedCalls:
+    """main() builds its parser on the first call and reuses it; no argument
+    of one call reaches the next, and the output of a call does not depend
+    on the calls before it."""
+
+    SEED = ("verify", "--system", "std-o2", "--suite", "seed")
+
+    @pytest.fixture
+    def fresh_parser(self):
+        cli._build_parser.cache_clear()
+        yield
+        cli._build_parser.cache_clear()
+
+    def test_parser_is_built_once(self, capsys, monkeypatch, fresh_parser):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **k: built.append(k.get("prog")) or
+                            init(self, *a, **k))
+        for _ in range(2):
+            assert run(capsys, *self.SEED)[0] == 0
+        # One tree: the top-level parser and one subparser per command.
+        assert built.count("cuntz") == 1
+        assert len(built) == 1 + len(cli._HANDLERS)
+
+    def test_default_depth_after_an_explicit_one(self, capsys):
+        argv = ("verify", "--system", "std-o2", "--suite", "recursive", "--format", "json")
+        depths = []
+        for extra in (("--depth", "1"), ()):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0
+            sampled = [json.loads(line) for line in out.splitlines()
+                       if json.loads(line)["check"] == "recursive.sampled"]
+            depths.append(sampled[0]["params"]["depth"])
+        assert depths == [1, config.DEFAULT_SWEEP_DEPTH]
+
+    def test_text_format_after_json(self, capsys):
+        code, out, _ = run(capsys, *self.SEED, "--format", "json")
+        assert (code, json.loads(out.splitlines()[0])["check"]) == (0, "seed.square")
+        code, out, _ = run(capsys, *self.SEED)
+        assert code == 0
+        assert out.splitlines()[0] == '[PASS] seed.square {"seeds": 1}'
+
+    @pytest.mark.parametrize("first, first_code", [(("verify", "--bogus"), 2), (("--help",), 0)],
+                             ids=["usage-error", "help"])
+    def test_calls_match_a_fresh_interpreter(self, capsys, monkeypatch, first, first_code):
+        # The help width follows $COLUMNS, which the child inherits.
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv, code in ((first, first_code), (first, first_code), (self.SEED, 0)):
+            fresh = run_module(*argv)
+            assert fresh.returncode == code
+            assert run(capsys, *argv) == (code, fresh.stdout, fresh.stderr)
 
 
 class TestEmbed:
@@ -621,6 +695,18 @@ class TestLoadValidation:
         assert err.strip() == 'error: \'phi\' must be "rho" or {"images": [..]}'
 
 
+    def test_phi_images_breaking_the_cuntz_relations_exit_1(self, capsys, tmp_path):
+        # std-o2 with phi(s1) = phi(s2) = s1: phi(s1)* phi(s2) = I, not 0.
+        s1 = element_to_dict(Element.word(2, (1,), ()))
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({**_RFS, "phi": {"images": [s1, s1]}}))
+        code, out, err = run(capsys, "fock", "--system", str(path), "--modes", "1")
+        assert code == 1
+        assert out == ""
+        assert err == ("invalid system: 1/6 checks failed; first: endomorphism.relations "
+                       "(witness: image of s1* s2: expected 0, got I)\n")
+
+
 class TestSweepBudget:
     """A sweep longer than the term cap exits 3 before its first predicate."""
 
@@ -734,6 +820,87 @@ class TestSweepBudget:
         assert done.stdout == ""
         assert done.stderr.strip() == (f"resource cap: identity entries count {d} "
                                        "exceeds cap 500000 in tensor")
+
+
+def _rfs_all_in_turn(system, depth, n):
+    """The checks of the rfs suite all, one after another, each counting its
+    own sweeps only as it comes to them."""
+    from cuntz import rfs
+    return [lambda: rfs.verify_seed_condition(system),
+            lambda: rfs.verify_recursive_condition(system, depth),
+            lambda: rfs.verify_normalization(system, depth),
+            lambda: rfs.verify_car(system, n)]
+
+
+def _green_all_in_turn(system, depth, n):
+    """The checks of the Green suite all, one after another."""
+    from cuntz import parafermion as pf
+    return [lambda: pf.verify_green_seed(system),
+            lambda: pf.verify_green_recursive(system, depth),
+            lambda: pf.verify_green_normalization(system, depth),
+            lambda: pf.verify_cross_commutation(system, 1),
+            lambda: pf.verify_green_relations(system, n),
+            lambda: pf.verify_parafermion(system, n)]
+
+
+class TestSuiteBudget:
+    """verify --suite all counts every sweep of the suite, in suite order,
+    before its first check: it names the sweep that the checks, run one
+    after another, would stop at, and runs no seed check first."""
+
+    @pytest.mark.parametrize("spec, depth, n, cap, check", [
+        ("std-o2", 2, 8, 16, "recursive.sampled"),
+        ("std-o2", 2, 8, 100, "normalization.sampled"),
+        ("std-o2", 2, 30, 300, "car.anticommute"),
+        ("std-rpfs:2", 2, 3, 50, "green-recursive.sampled"),
+        ("std-rpfs:2", 2, 3, 1000, "green-normalization.sampled"),
+        ("std-rpfs:2", 0, 3, 50, "cross-commutation.sampled"),
+        ("std-rpfs:2", 1, 10, 100, "green.anticommute"),
+        ("std-rpfs:2", 1, 10, 150, "green.cross-commute"),
+        ("std-rpfs:2", 1, 10, 300, "trilinear.comm-comm"),
+        ("std-rpfs:2", 1, 10, 900, "trilinear.number-action"),
+    ])
+    def test_names_the_sweep_the_checks_stop_at(self, capsys, monkeypatch, spec, depth, n,
+                                                cap, check):
+        from cuntz import rfs
+        from cuntz.serialize import system_from_spec
+
+        system = system_from_spec(spec, validate=False)
+        in_turn = _green_all_in_turn if spec.startswith("std-rpfs") else _rfs_all_in_turn
+        with config.scoped_max_terms(cap), pytest.raises(ResourceLimitError) as refused:
+            for step in in_turn(system, depth, n):
+                step()
+        assert str(refused.value).endswith(f"in sweep {check}")
+
+        def refuse(system):
+            raise AssertionError("a seed check ran before the suite's sweeps were counted")
+
+        monkeypatch.setattr(rfs, "verify_seed_condition", refuse)
+        monkeypatch.setattr(cli, "verify_green_seed", refuse)
+        code, out, err = run(capsys, "verify", "--system", spec, "--suite", "all",
+                             "--depth", str(depth), "--N", str(n), "--max-terms", str(cap))
+        assert (code, out, err) == (3, "", f"resource cap: {refused.value}\n")
+
+    @pytest.mark.parametrize("spec, count, check", [
+        ("std-rfs-p:6", 154181889, "normalization.sampled"),
+        ("std-rpfs:4", 641601, "green-normalization.sampled"),
+    ])
+    def test_built_in_past_the_pair_budget_exits_at_once(self, capsys, monkeypatch, spec,
+                                                         count, check):
+        # At the default depth 2, the normalization pair sweep of d = 64
+        # and d = 16 letters is over the default cap.  The recursive sweep
+        # before it, which holds every image, is no longer run first.
+        from cuntz import rfs
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a check ran before the suite's sweeps were counted")
+
+        monkeypatch.setattr(rfs, "verify_recursive_condition", refuse)
+        monkeypatch.setattr(cli, "verify_green_recursive", refuse)
+        code, out, err = run(capsys, "verify", "--system", spec, "--suite", "all")
+        assert (code, out) == (3, "")
+        assert err == (f"resource cap: candidates count {count} exceeds cap 500000 "
+                       f"in sweep {check}\n")
 
 
 class TestHugeCounts:
