@@ -235,16 +235,18 @@ def _green_all(system, depth, L) -> Report:
     """The Green suite ``all``.  As in :func:`cuntz.rfs.verify_all`, its sweeps
     meet the sweep budget in suite order before the first check runs.  The
     spectrum and vacuum checks scan L and L^2 candidates, which the L^3 of
-    the trilinear check bounds."""
+    the trilinear check bounds.  As in the suite ``cross``, the
+    cross-commutation sweep runs at depth ``min(depth, 1)``."""
+    cross_depth = min(depth, 1)
     sweep_budget(system.d, depth, "green-recursive.sampled")
     sweep_budget(system.d, depth, "green-normalization.sampled", lambda n: n * n)
-    sweep_budget(system.d, 1, "cross-commutation.sampled", lambda n: n * n)
+    sweep_budget(system.d, cross_depth, "cross-commutation.sampled", lambda n: n * n)
     green_relations_budget(system.p, L)
     trilinear_budget(L)
     report = verify_green_seed(system)
     report.extend(verify_green_recursive(system, depth=depth))
     report.extend(verify_green_normalization(system, depth=depth))
-    report.extend(verify_cross_commutation(system, depth=1))
+    report.extend(verify_cross_commutation(system, depth=cross_depth))
     report.extend(verify_green_relations(system, L))
     report.extend(verify_parafermion(system, L))
     return report
@@ -322,8 +324,9 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.  It can be called any number
-    of times in one process: each call builds its systems afresh, and only
-    the argument parser, built on the first call, is shared."""
+    of times in one process: each call builds its systems afresh.  Only the
+    argument parser, built on the first call, and the factor tables of
+    :mod:`cuntz.tensor` are shared; neither changes an output."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

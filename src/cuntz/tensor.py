@@ -8,12 +8,22 @@ charge-zero subalgebra of O_d is the infinite tensor product of M_d, and a
 :class:`Tensor` holds an element of it as a sum of elementary tensors of
 exact (``int`` or ``Fraction``) matrices, every site past the end being I.
 
-So a key never ends in I, and one rule says which factor is I: a matrix of
-exactly the d entries (i, i, 1), tested without building anything.  Every
-key is trimmed of its trailing identity factors by that test.  The d x d
-identity itself is built in one place only: :meth:`Tensor.is_zero` pads a
-shorter key with it, after the term cap admits its d entries, so an
-alphabet too large to list exits at the cap instead of exhausting memory.
+A key holds no matrix but a factor id: each distinct site factor is
+interned once, in a table that lives for the process, like interned
+strings, and id 0 is the zero matrix.  A key hashes and compares as a tuple
+of small ints, and each site product, transpose and identity test is formed
+once per distinct id (pair) and looked up by ids after that.
+
+Every site past a key's end is I, so a key never ends in I, and one rule
+says which factor is I: a matrix of exactly the d entries (i, i, 1), tested
+once, when it is interned.  Every key is trimmed of its trailing identity
+factors by that test.  The d x d identity is built in one place only, and
+never interned there: :meth:`Tensor.is_zero` pads a shorter key with the
+reserved id ``_PAD`` (or with the id of I, if a product has already
+interned it), after the term cap admits its d entries, and lists those
+entries only at a site where the elimination extends a padded column.  So
+an alphabet too large to list exits at the cap instead of exhausting
+memory, and no table keeps what the zero test built.
 
 A single-letter sandwich map X -> sum_t sign_t s_{u_t} X s_{v_t}* is
 X -> M (x) X, with M the map's sign matrix; ``cuntz.rfs.RecursiveMap`` holds
@@ -39,9 +49,21 @@ from .errors import CuntzError
 # A d x d matrix: its nonzero entries (row, column, value), sorted, with
 # letters 1..d as indices.  The empty tuple is the zero matrix.
 Matrix = tuple[tuple[int, int, Scalar], ...]
-# One elementary tensor: the factors of sites 1, 2, ...; sites past the end
-# are I, so a key never ends in the identity matrix.
-Sites = tuple[Matrix, ...]
+# One elementary tensor: the factor ids of sites 1, 2, ...; sites past the
+# end are I, so a key never ends in the id of the identity matrix.
+Sites = tuple[int, ...]
+
+# The factor table, both ways: id -> matrix and matrix -> id.  Only the zero
+# matrix is interned at import.
+_FACTORS: list[Matrix] = [()]
+_IDS: dict[Matrix, int] = {(): 0}
+# d -> the id of the d x d identity, once some factor equal to it is interned.
+_UNITS: dict[int, int] = {}
+# Site products and transposes by id.
+_PRODUCTS: dict[tuple[int, int], int] = {}
+_TRANSPOSES: dict[int, int] = {}
+# The padding I of Tensor.is_zero while no factor equal to it is interned.
+_PAD = -1
 
 
 def _matrix(entries: dict[tuple[int, int], Scalar]) -> Matrix:
@@ -68,15 +90,44 @@ def _transpose(a: Matrix) -> Matrix:
     return tuple(sorted((j, i, c) for i, j, c in a))
 
 
+def _intern(m: Matrix) -> int:
+    """The id of the factor ``m``, which is interned on first sight."""
+    f = _IDS.get(m)
+    if f is None:
+        f = _IDS[m] = len(_FACTORS)
+        _FACTORS.append(m)
+        if _is_identity(m, len(m)):
+            _UNITS[len(m)] = f
+    return f
+
+
+def _product(a: int, b: int) -> int:
+    """The id of the site product of factors ``a`` and ``b``."""
+    ab = _PRODUCTS.get((a, b))
+    if ab is None:
+        ab = _PRODUCTS[(a, b)] = _intern(_matmul(_FACTORS[a], _FACTORS[b]))
+    return ab
+
+
+def _transposed(f: int) -> int:
+    """The id of the transpose of factor ``f``."""
+    t = _TRANSPOSES.get(f)
+    if t is None:
+        t = _TRANSPOSES[f] = _intern(_transpose(_FACTORS[f]))
+    return t
+
+
 def _trimmed(sites: Sites, d: int) -> Sites:
     """``sites`` without its trailing identity factors: the one form of a key."""
-    while sites and _is_identity(sites[-1], d):
+    unit = _UNITS.get(d)
+    while sites and sites[-1] == unit:
         sites = sites[:-1]
     return sites
 
 
 class Tensor:
-    """A charge-zero element of O_d: ``terms`` maps :data:`Sites` to coefficients.
+    """A charge-zero element of O_d: ``terms`` maps :data:`Sites`, keys of
+    interned factor ids, to coefficients.
 
     A sum, a product or a converted element holds at most the term cap of
     :func:`cuntz.config.max_terms_cap`; past it ResourceLimitError names
@@ -109,9 +160,9 @@ class Tensor:
             if not create:
                 out[()] = c  # the one identity word
                 continue
-            prefix = tuple(((a, b, 1),) for a, b in zip(create[:-1], annihilate[:-1]))
+            prefix = tuple(_intern(((a, b, 1),)) for a, b in zip(create[:-1], annihilate[:-1]))
             last.setdefault(prefix, {})[(create[-1], annihilate[-1])] = c
-        accumulate(out, ((_trimmed(prefix + (_matrix(entries),), x.d), 1)
+        accumulate(out, ((_trimmed(prefix + (_intern(_matrix(entries)),), x.d), 1)
                          for prefix, entries in last.items()))
         return cls._capped(x.d, out)
 
@@ -138,16 +189,16 @@ class Tensor:
     def __mul__(self, other: "Tensor") -> "Tensor":
         """Site by site; a pair of terms with a zero site product is dropped."""
         d = self.d
-        products: dict[tuple[Matrix, Matrix], Matrix] = {}
 
         def pairs():
+            product = _PRODUCTS.get
             for sa, ca in self.terms.items():
                 for sb, cb in other.terms.items():
                     sites = []
                     for pair in zip(sa, sb):
-                        ab = products.get(pair)
+                        ab = product(pair)
                         if ab is None:
-                            ab = products[pair] = _matmul(*pair)
+                            ab = _product(*pair)
                         if not ab:
                             break
                         sites.append(ab)
@@ -161,7 +212,7 @@ class Tensor:
 
     def adjoint(self) -> "Tensor":
         """The *-involution: every site factor transposed."""
-        return Tensor(self.d, {tuple(_transpose(m) for m in sites): c
+        return Tensor(self.d, {tuple(map(_transposed, sites)): c
                                for sites, c in self.terms.items()})
 
     def is_zero(self) -> bool:
@@ -194,8 +245,9 @@ class Tensor:
         if any(len(sites) < n for sites in padded):
             # I has d entries: a huge alphabet meets the cap before it is listed.
             config.check_cap(d, "tensor", what="identity entries")
-            unit = tuple((i, i, 1) for i in range(1, d + 1))
-            padded = [sites + (unit,) * (n - len(sites)) for sites in padded]
+            pad = _UNITS.get(d, _PAD)
+            padded = [sites + (pad,) * (n - len(sites)) for sites in padded]
+        unit = None  # the entries of _PAD, listed when a padded column is extended
         # Sites whose factor every column shares are passed over up front.
         varying = []
         for k, factors in enumerate(zip(*padded)):
@@ -221,10 +273,14 @@ class Tensor:
             basis: dict[int, tuple[int, dict]] = {}
             extended = []
             for sites, row in cols:
+                if sites[k] != _PAD:
+                    entries = _FACTORS[sites[k]]
+                else:
+                    entries = unit = unit or tuple((i, i, 1) for i in range(1, d + 1))
                 vec = {}
                 for j, x in row.items():
                     base = j * dd - d - 1
-                    for a, b, y in sites[k]:
+                    for a, b, y in entries:
                         vec[base + a * d + b] = x * y
                 coords = eliminate(basis, vec)
                 if coords:
@@ -244,7 +300,7 @@ def sandwich_power(matrix: Matrix, seed: Element, k: int) -> Tensor:
     is ``matrix`` (:meth:`cuntz.rfs.RecursiveMap.sandwich_matrix`); ``seed``
     must be charge-zero."""
     base = Tensor.from_element(seed)
-    string = (matrix,) * k
+    string = (_intern(matrix),) * k
     return Tensor._capped(seed.d, accumulate(
         {}, ((_trimmed(string + sites, seed.d), c) for sites, c in base.terms.items())))
 

@@ -98,6 +98,22 @@ print(len(built))
         assert done.returncode == 0, done.stderr
         assert done.stdout == "0\n"
 
+    def test_import_interns_only_the_zero_factor(self):
+        # The tensor tables fill as checks run; importing cuntz.cli puts
+        # nothing in them but the zero matrix.
+        probe = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import cuntz.cli
+from cuntz import tensor
+print(tensor._FACTORS, tensor._IDS, tensor._UNITS, tensor._PRODUCTS, tensor._TRANSPOSES)
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cuntz.__file__)))
+        done = subprocess.run([sys.executable, "-I", "-c", probe, src],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[()] {(): 0} {} {} {}\n"
+
 
 class TestRepeatedCalls:
     """main() builds its parser on the first call and reuses it; no argument
@@ -838,7 +854,7 @@ def _green_all_in_turn(system, depth, n):
     return [lambda: pf.verify_green_seed(system),
             lambda: pf.verify_green_recursive(system, depth),
             lambda: pf.verify_green_normalization(system, depth),
-            lambda: pf.verify_cross_commutation(system, 1),
+            lambda: pf.verify_cross_commutation(system, min(depth, 1)),
             lambda: pf.verify_green_relations(system, n),
             lambda: pf.verify_parafermion(system, n)]
 
@@ -854,7 +870,7 @@ class TestSuiteBudget:
         ("std-o2", 2, 30, 300, "car.anticommute"),
         ("std-rpfs:2", 2, 3, 50, "green-recursive.sampled"),
         ("std-rpfs:2", 2, 3, 1000, "green-normalization.sampled"),
-        ("std-rpfs:2", 0, 3, 50, "cross-commutation.sampled"),
+        ("std-rpfs:2", 0, 3, 20, "trilinear.number-action"),
         ("std-rpfs:2", 1, 10, 100, "green.anticommute"),
         ("std-rpfs:2", 1, 10, 150, "green.cross-commute"),
         ("std-rpfs:2", 1, 10, 300, "trilinear.comm-comm"),
@@ -901,6 +917,17 @@ class TestSuiteBudget:
         assert (code, out) == (3, "")
         assert err == (f"resource cap: candidates count {count} exceeds cap 500000 "
                        f"in sweep {check}\n")
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_green_all_sweeps_cross_commutation_as_the_cross_suite(self, capsys, depth):
+        lines = []
+        for suite in ("cross", "all"):
+            code, out, _ = run(capsys, "verify", "--system", "std-rpfs:2", "--suite", suite,
+                               "--depth", str(depth))
+            assert code == 0
+            lines += [line for line in out.splitlines() if "cross-commutation.sampled" in line]
+        assert len(lines) == 2 and lines[0] == lines[1]
+        assert f'"depth": {min(depth, 1)},' in lines[0]
 
 
 class TestHugeCounts:

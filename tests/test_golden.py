@@ -11,7 +11,8 @@ core; the std-rpfs:3 parafermion at L=5, the swapped Green and the Klein
 L=4 files before the spectrum and vacuum checks stopped expanding words;
 the negative control in text format, with its witnesses and failure summary,
 before the word product lost its single-word scan; the asymmetric sign
-matrix file before the suites counted their sweeps up front.
+matrix file before the suites counted their sweeps up front; the four Green
+seed negatives before tensor keys held interned factor ids.
 Refactors must reproduce them byte for byte, exit code included.  A
 deliberate change of output rewrites the file with the command's output.
 """
@@ -85,6 +86,36 @@ ASYMMETRIC_ZETA = {
              {"sign": 1, "left": 1, "right": 2}],
 }
 
+
+
+def _green_seeds(seed1, seed2):
+    """std-rpfs:2 with its seeds replaced; each seed is (coeff, create, annihilate)s."""
+    def seed(terms):
+        return {"d": 4, "terms": [{"coeff": c, "create": [i], "annihilate": [j]}
+                                  for c, i, j in terms]}
+    return {"kind": "rpfs", "p": 2, "d": 4, "triads": [
+        {"seed": seed(seed1), "zeta": FLIPPED_GREEN["triads"][0]["zeta"], "phi": "rho"},
+        {"seed": seed(seed2), "zeta": SWAPPED_GREEN["triads"][1]["zeta"], "phi": "rho"}]}
+
+
+# Letters 1..4 are pairs (h, l), and std-rpfs:2 has a^(1) = I (x) e12 and
+# a^(2) = e12 (x) I.  Each system below fails exactly one Green seed line.
+GREEN_SEED1 = (("1", 1, 2), ("1", 3, 4))
+GREEN_SEED2 = (("1", 1, 3), ("1", 2, 4))
+GREEN_SEED_FAILS = {
+    # a^(1) = I (x) m with m = (e11 + e12 + e21 - e22)/2: m m* + m* m = 2 m^2 = I,
+    # but m^2 = I/2 is not zero; it still commutes with e12 (x) I.
+    "square": _green_seeds((("1/2", 1, 1), ("1/2", 1, 2), ("1/2", 2, 1), ("-1/2", 2, 2),
+                            ("1/2", 3, 3), ("1/2", 3, 4), ("1/2", 4, 3), ("-1/2", 4, 4)),
+                           GREEN_SEED2),
+    # a^(1) doubled: {a, a*} = 4I.
+    "self": _green_seeds((("2", 1, 2), ("2", 3, 4)), GREEN_SEED2),
+    # a^(2) = a^(1)*: it commutes with a^(1)* but not with a^(1).
+    "cross-commute": _green_seeds(GREEN_SEED1, (("1", 2, 1), ("1", 4, 3))),
+    # a^(2) = a^(1): it commutes with a^(1) but not with a^(1)*.
+    "cross-mixed": _green_seeds(GREEN_SEED1, GREEN_SEED1),
+}
+
 # golden file stem -> (arguments, exit code); a name with a suffix is the
 # whole file name.  Arguments that start with an option are verify arguments
 # run with ``--format json``; otherwise the first argument names the command
@@ -126,6 +157,8 @@ CASES = {
     "negative-control-text.txt": (["verify", "--system", None, "--suite", "all"], 1),
     "asymmetric-zeta-recursive-depth1": (["--system", ASYMMETRIC_ZETA, "--suite", "recursive",
                                           "--depth", "1"], 1),
+    **{f"green-seed-{line}-fails.txt": (["verify", "--system", spec, "--suite", "seed"], 1)
+       for line, spec in GREEN_SEED_FAILS.items()},
 }
 
 
@@ -174,8 +207,6 @@ FAILED_BY_UNIT_TESTS = {
 # seed.square can fail only with seed.anticommute, which scans {a_i, a_i}.
 NEVER_FAILED = {
     "seed.square",
-    "green-seed.square", "green-seed.self", "green-seed.cross-commute",
-    "green-seed.cross-mixed",
     "green-recursive.adjoint",
     "green-normalization.certificate", "green-normalization.sampled",
     "klein.seed1",

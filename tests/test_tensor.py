@@ -3,7 +3,8 @@
 A charge-zero word is a matrix unit of M_d^{(x)n}, and the generator
 z^k(a) is the string M^{(x)k} (x) a.  The zero test, product and adjoint of
 ``cuntz.tensor`` are checked against ``normal_form``, ``Element.__mul__`` and
-``Element.adjoint`` on random elements, and the CAR, Green and trilinear
+``Element.adjoint`` on random elements, its product and transpose tables
+against the matrices whose ids they hold, and the CAR, Green and trilinear
 reports of a system (tensor path) against those of its word generators.
 """
 
@@ -31,7 +32,8 @@ from cuntz.rfs import (
     verify_car,
 )
 from cuntz.serialize import system_from_dict
-from cuntz.tensor import Tensor, sandwich_power
+from cuntz import tensor
+from cuntz.tensor import Tensor, _intern, _matmul, _matrix, _transpose, sandwich_power
 from test_golden import FLIPPED_GREEN, NEGATIVE_CONTROL
 
 
@@ -96,20 +98,25 @@ E11, E12, E22 = ((1, 1, 1),), ((1, 2, 1),), ((2, 2, 1),)
 I2 = ((1, 1, 1), (2, 2, 1))
 
 
+def key(*factors):
+    """A tensor key: the interned ids of the site factors."""
+    return tuple(_intern(m) for m in factors)
+
+
 def test_shared_zero_factor_is_zero():
     # e11 (x) 0 + e22 (x) 0: the columns differ at site 1 and share a zero factor.
-    assert Tensor(2, {(E11, ()): 1, (E22, ()): 1}).is_zero()
-    assert not Tensor(2, {(E11, E12): 1, (E22, E12): 1}).is_zero()
+    assert Tensor(2, {key(E11, ()): 1, key(E22, ()): 1}).is_zero()
+    assert not Tensor(2, {key(E11, E12): 1, key(E22, E12): 1}).is_zero()
     # Only once the last three columns cancel (I = e11 + e22) do the two
     # left share the zero factor at site 2.
-    assert Tensor(2, {(E11, (), E11): 1, (E22, (), E11): 1, (E11, E12, E11): 1,
-                      (E22, E12, E11): 1, (I2, E12, E11): -1}).is_zero()
+    assert Tensor(2, {key(E11, (), E11): 1, key(E22, (), E11): 1, key(E11, E12, E11): 1,
+                      key(E22, E12, E11): 1, key(I2, E12, E11): -1}).is_zero()
 
 
 def test_equal_right_parts_merge():
     # e11 (x) e12 + e22 (x) e12 - I (x) e12 = 0 only once the columns merge.
-    assert Tensor(2, {(E11, E12): 1, (E22, E12): 1, (I2, E12): -1}).is_zero()
-    assert not Tensor(2, {(E11, E12): 1, (E22, E12): 1, (I2, E22): -1}).is_zero()
+    assert Tensor(2, {key(E11, E12): 1, key(E22, E12): 1, key(I2, E12): -1}).is_zero()
+    assert not Tensor(2, {key(E11, E12): 1, key(E22, E12): 1, key(I2, E22): -1}).is_zero()
 
 
 def test_identity_padding():
@@ -123,21 +130,58 @@ def test_product_trims_a_last_site_that_multiplies_to_identity():
     # M M = I for M = diag(1, -1): a last site that is I is dropped from the
     # key, and an I before a site that is not stays.
     m = ((1, 1, 1), (2, 2, -1))
-    assert (Tensor(2, {(m,): 1}) * Tensor(2, {(m,): 1})).terms == {(): 1}
-    assert (Tensor(2, {(E11, m): 3}) * Tensor(2, {(E11, m): 1})).terms == {(E11,): 3}
-    assert (Tensor(2, {(m, m): 1}) * Tensor(2, {(m,): -1})).terms == {(I2, m): -1}
+    assert (Tensor(2, {key(m): 1}) * Tensor(2, {key(m): 1})).terms == {key(): 1}
+    assert (Tensor(2, {key(E11, m): 3}) * Tensor(2, {key(E11, m): 1})).terms == {key(E11): 3}
+    assert (Tensor(2, {key(m, m): 1}) * Tensor(2, {key(m): -1})).terms == {key(I2, m): -1}
 
 
 def test_identity_is_built_only_to_pad_a_shorter_key():
     # Keys of one length are compared as they are; padding builds I (d
     # entries), which the cap bounds.
     with config.scoped_max_terms(1):
-        assert not Tensor(2, {(E11,): 1, (E22,): 1}).is_zero()
+        assert not Tensor(2, {key(E11): 1, key(E22): 1}).is_zero()
         with pytest.raises(ResourceLimitError) as err:
-            Tensor(2, {(E11,): 1, (E22,): 1, (): -1}).is_zero()
+            Tensor(2, {key(E11): 1, key(E22): 1, key(): -1}).is_zero()
     assert (err.value.what, err.value.count, err.value.operation) == (
         "identity entries", 2, "tensor")
-    assert Tensor(2, {(E11,): 1, (E22,): 1, (): -1}).is_zero()
+    assert Tensor(2, {key(E11): 1, key(E22): 1, key(): -1}).is_zero()
+
+
+# -- the factor table ----------------------------------------------------------
+
+
+@st.composite
+def matrices(draw, d):
+    cells = st.tuples(st.integers(1, d), st.integers(1, d))
+    return _matrix(draw(st.dictionaries(cells, coefficients(), max_size=d * d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3]).flatmap(lambda d: st.tuples(matrices(d), matrices(d))))
+def test_product_and_transpose_tables_match_the_matrices(pair):
+    a, b = pair
+    ia, ib = key(a, b)
+    tensor._product(ia, ib), tensor._transposed(ia)
+    assert tensor._FACTORS[tensor._PRODUCTS[(ia, ib)]] == _matmul(a, b)
+    assert tensor._FACTORS[tensor._TRANSPOSES[ia]] == _transpose(a)
+
+
+def test_equal_factors_share_an_id():
+    m = tuple((i, 3 - i, Fraction(i, 3)) for i in (1, 2))
+    assert key(m) == key(_matrix({(2, 1): Fraction(2, 3), (1, 2): Fraction(1, 3)}))
+    assert key(()) == (0,)
+    x = Tensor.from_element(Element(2, {((1, 2), (2, 1)): 3, ((2,), (1,)): Fraction(1, 2)}))
+    assert x.adjoint().adjoint().terms == x.terms
+
+
+def test_zero_test_keeps_no_padding_identity():
+    # s1 s1* - 1 on d = 3000 letters pads the empty key with I, whose 3000
+    # entries the elimination lists; no table keeps them.
+    d = 3000
+    x = Tensor.from_element(Element(d, {((1,), (1,)): 1, ((), ()): -1}))
+    assert not x.is_zero()
+    assert max(map(len, tensor._FACTORS)) < d
+    assert d not in tensor._UNITS
 
 
 def test_charge_nonzero_has_no_tensor_form():
